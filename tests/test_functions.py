@@ -1249,6 +1249,212 @@ def test_lsh_index_compaction(ray_session, tmp_path):
     assert after == before
 
 
+def test_lsh_index_compaction_keeps_pinned_modulus(ray_session,
+                                                   tmp_path):
+    """A sparse index — one doc, so fewer populated ``bucket_part=``
+    dirs than the pinned n_parts — compacts under the PINNED modulus:
+    probe results are identical before and after compaction (counting
+    dirs as the modulus moved rows where no probe looks)."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from zhtml_ray.functions.dedup import (build_lsh_index,
+                                           compact_lsh_index,
+                                           lsh_index_probe)
+
+    words = [f"w{i}" for i in range(40)]
+    idx = str(tmp_path / "lsh")
+    build_lsh_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array([1], pa.int64()),
+        "text": pa.array([" ".join(words)])})), idx)
+    assert len(glob.glob(idx + "/bucket_part=*")) < 64
+
+    # near-copies sharing only a few bands, each probed ALONE so the
+    # probe opens only its own buckets' dirs (a many-doc shard opens
+    # every dir and would find misplaced rows anyway)
+    def probe(r):
+        text = " ".join(f"x{j}" if j < r else w
+                        for j, w in enumerate(words[r:] + words[:r]))
+        return {(p["key_a"], p["key_b"]) for p in lsh_index_probe(
+            idx, rd.from_arrow(pa.table({
+                "doc_id": pa.array([100 + r], pa.int64()),
+                "text": pa.array([text])}))).take_all()}
+
+    before = {r: probe(r) for r in range(12, 19)}
+    assert sum(map(len, before.values())) >= 5
+    compact_lsh_index(idx)
+    assert {r: probe(r) for r in range(12, 19)} == before
+    for d in glob.glob(idx + "/bucket_part=*"):
+        part = int(d.rsplit("=", 1)[1])
+        for f in glob.glob(d + "/*.parquet"):
+            buckets = pq.read_table(f, columns=["bucket"])["bucket"]
+            assert all(b % 64 == part for b in buckets.to_pylist())
+
+
+def test_lsh_index_compaction_crash_between_renames(ray_session, tmp_path,
+                                                    monkeypatch):
+    """A crash between compaction's two renames leaves the index only
+    in ``<index>.compact.old``: the job's config pin and the next
+    compaction restore it (never bootstrap an empty index), and
+    leftovers that cannot be told apart refuse loudly."""
+    import os
+    import shutil
+
+    import pyarrow as pa
+    import pytest
+    import ray.data as rd
+
+    from zhtml_ray.functions.dedup import (append_lsh_index,
+                                           build_lsh_index,
+                                           compact_lsh_index,
+                                           lsh_index_probe)
+    from zhtml_ray.stages.neardup import pin_lsh_config
+
+    base = pa.table({
+        "doc_id": pa.array(range(20), pa.int64()),
+        "text": pa.array([f"base doc {i} alpha beta gamma delta {i}"
+                          for i in range(20)])})
+    idx = str(tmp_path / "lsh")
+    old, tmp = idx + ".compact.old", idx + ".compact.tmp"
+    build_lsh_index(rd.from_arrow(base), idx)
+    append_lsh_index(rd.from_arrow(base.slice(0, 5)), idx)
+    probe = pa.table({"doc_id": pa.array([100, 101], pa.int64()),
+                      "text": pa.array([base["text"][3].as_py(),
+                                        "nothing like the base docs"])})
+
+    def pairs():
+        return {(r["key_a"], r["key_b"]) for r in
+                lsh_index_probe(idx, rd.from_arrow(probe)).take_all()}
+
+    before = pairs()
+    assert (100, 3) in before
+    real_replace = os.replace
+
+    def crash_second_rename(src, dst):
+        if str(src).endswith(".compact.tmp"):
+            raise OSError("simulated crash between renames")
+        return real_replace(src, dst)
+
+    for recover in (pin_lsh_config, compact_lsh_index):
+        monkeypatch.setattr(os, "replace", crash_second_rename)
+        with pytest.raises(OSError, match="simulated crash"):
+            compact_lsh_index(idx)
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert not os.path.exists(idx)
+        assert os.path.isdir(old) and os.path.isdir(tmp)
+        recover(idx)
+        assert not os.path.exists(old) and not os.path.exists(tmp)
+        # the restored index's own config, not a fresh default pin
+        assert pin_lsh_config(idx)["key"] == "doc_id"
+        assert pairs() == before
+
+    # an intact index beside a .tmp only (crash before the swap): the
+    # partial rewrite is discarded
+    os.makedirs(tmp)
+    pin_lsh_config(idx)
+    assert not os.path.exists(tmp) and pairs() == before
+
+    # index, .old and .tmp all present: no way to tell which is real
+    os.makedirs(old)
+    os.makedirs(tmp)
+    for fn in (pin_lsh_config, compact_lsh_index):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            fn(idx)
+    # the index gone with only a partial .tmp left: refuse, too
+    os.rename(idx, str(tmp_path / "moved"))
+    shutil.rmtree(old)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        pin_lsh_config(idx)
+    assert not os.path.exists(idx)
+
+
+def test_lsh_index_semijoin_matches_probe(ray_session, tmp_path):
+    """The job's semi-join drop set equals the distinct ``key_a`` of
+    ``lsh_index_probe`` on a fragmented index (several append files per
+    bucket_part), including a new doc whose key is already indexed
+    (self-matches never drop), an empty index, and a shard whose
+    buckets hit no populated part."""
+    import glob
+    import os
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from zhtml_ray.functions.dedup import (_cached_lsh_explode,
+                                           _cached_minhash,
+                                           collect_band_rows,
+                                           lsh_index_probe,
+                                           lsh_index_semijoin)
+    from zhtml_ray.stages.neardup import (append_partition_to_index,
+                                          pin_lsh_config)
+
+    def docs(urls, texts):
+        return pa.table({"url": pa.array(urls), "text": pa.array(texts)})
+
+    def both(idx, t, n_parts):
+        band = collect_band_rows(rd.from_arrow(t), key="url", col="text")
+        st_semi, st_probe = {}, {}
+        semi = lsh_index_semijoin(idx, band, key="url", n_parts=n_parts,
+                                  scan_stats=st_semi)
+        probe = {r["key_a"] for r in lsh_index_probe(
+            idx, rd.from_arrow(t), key="url", col="text",
+            n_parts=n_parts, scan_stats=st_probe).take_all()}
+        assert st_semi == st_probe
+        assert semi == probe
+        return semi, st_semi
+
+    texts = [" ".join(f"page{i} word{j}" for j in range(10))
+             for i in range(12)]
+    idx = str(tmp_path / "frag")
+    cfg = pin_lsh_config(idx, {"key": "url", "col": "text", "n_parts": 8})
+    for pid in range(4):  # four partitions' appends: fragmented parts
+        urls = [f"http://old/{i}" for i in range(pid * 3, pid * 3 + 3)]
+        t = docs(urls, texts[pid * 3:pid * 3 + 3])
+        band = collect_band_rows(rd.from_arrow(t), key="url", col="text")
+        append_partition_to_index(band, idx, pid, cfg)
+    assert max(len(glob.glob(d + "/*.parquet"))
+               for d in glob.glob(idx + "/bucket_part=*")) > 1
+
+    new = docs(["http://old/4",      # already indexed, same text: keep
+                "http://old/5",      # indexed url, text of old/7: drop
+                "http://new/a",      # copy of an indexed page: drop
+                "http://new/b"],     # unique: keep
+               [texts[4], texts[7], texts[9],
+                "an entirely unrelated page about nothing in particular"])
+    semi, _ = both(idx, new, 8)
+    assert semi == {"http://old/5", "http://new/a"}
+
+    empty_idx = str(tmp_path / "empty")
+    pin_lsh_config(empty_idx, {"key": "url", "col": "text"})
+    semi, st = both(empty_idx, new, 64)
+    assert semi == set() and st["n_parts_total"] == 0
+
+    # one doc in 4096 parts: find a shard whose 32 buckets all miss
+    # the ≤32 populated parts
+    sparse = str(tmp_path / "sparse")
+    scfg = pin_lsh_config(sparse, {"key": "url", "col": "text",
+                                   "n_parts": 4096})
+    one = docs(["http://old/0"], texts[:1])
+    append_partition_to_index(
+        collect_band_rows(rd.from_arrow(one), key="url", col="text"),
+        sparse, 0, scfg)
+    populated = {int(d.rsplit("=", 1)[1])
+                 for d in glob.glob(os.path.join(sparse, "bucket_part=*"))}
+    explode = _cached_lsh_explode("url", 32, 128)
+    minhash = _cached_minhash("text", 128, 3, 42)
+    for i in range(100):
+        miss = docs([f"http://new/{i}"], [f"fresh page {i} text here"])
+        parts = set((explode(minhash(miss))["bucket"].to_numpy()
+                     % 4096).tolist())
+        if not parts & populated:
+            break
+    semi, st = both(sparse, miss, 4096)
+    assert semi == set() and st["n_parts_read"] == 0
+
+
 def test_lsh_index_config_pinned_by_builders(ray_session, tmp_path):
     """build_lsh_index pins _lsh_config.json; append_lsh_index with
     different parameters refuses (mismatched params would silently

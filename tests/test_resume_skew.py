@@ -396,6 +396,7 @@ def test_neardup_index_job_lifecycle(ray_session, tmp_path):
     nd = m1["neardup"]
     assert nd["probed"] == 4 and nd["dropped_index"] == 1
     assert nd["dropped_within"] == 1 and nd["appended"] == 2
+    assert all(nd[k] >= 0 for k in ("hash_s", "probe_s", "append_s"))
 
     # crash-after-append recovery: wipe partition 1's manifest+output
     # but LEAVE its index files (the mid-crash state); the rerun must

@@ -1107,6 +1107,46 @@ def _write_lsh_config(out_dir: str, **cfg) -> None:
     os.replace(tmp, path)
 
 
+def recover_interrupted_compaction(out_dir: str) -> None:
+    """Detect what a crash inside ``compact_lsh_index`` left beside the
+    index and restore or refuse — never let a caller bootstrap an empty
+    index where the real one sits stranded (every duplicate would then
+    be re-admitted silently). Compaction writes ``<index>.compact.tmp``,
+    renames the index to ``<index>.compact.old``, renames the tmp in,
+    then deletes the old copy, so:
+
+      * index gone, ``.old`` present (crash between the two renames):
+        the old index is renamed back and the tmp removed;
+      * index present with ONLY a ``.tmp`` (crash before the swap) or
+        ONLY an ``.old`` (crash after it): the leftover is removed;
+      * anything else (index gone with only a ``.tmp``; or index,
+        ``.tmp`` and ``.old`` all present — e.g. an empty index
+        bootstrapped after an unrecovered crash) is ambiguous →
+        RuntimeError naming the dirs to inspect by hand."""
+    import os
+    import shutil
+
+    base = out_dir.rstrip("/")
+    old, tmp = base + ".compact.old", base + ".compact.tmp"
+    has_idx, has_old, has_tmp = (os.path.isdir(d)
+                                 for d in (base, old, tmp))
+    if not (has_old or has_tmp):
+        return
+    if not has_idx and has_old:
+        os.replace(old, base)
+        shutil.rmtree(tmp, ignore_errors=True)
+        return
+    if has_idx and has_old != has_tmp:
+        shutil.rmtree(old if has_old else tmp)
+        return
+    raise RuntimeError(
+        f"interrupted LSH index compaction at {base}: index "
+        f"{'present' if has_idx else 'missing'}, "
+        f"{old} {'present' if has_old else 'missing'}, "
+        f"{tmp} {'present' if has_tmp else 'missing'} — cannot tell "
+        "which copy is authoritative; inspect and restore by hand")
+
+
 def compact_lsh_index(out_dir: str) -> dict:
     """LSM-style compaction of a ``build_lsh_index`` directory: after
     N ``append_lsh_index`` shards the index carries ~N files per
@@ -1120,8 +1160,11 @@ def compact_lsh_index(out_dir: str) -> dict:
     BETWEEN jobs only: the job CLI's ``--neardup-index`` stage relies
     on its deterministic ``part-<pid>.parquet`` file names for crash
     recovery (stages/neardup.py:clean_partition_files), and a
-    mid-job compaction folds those into anonymous compacted files."""
+    mid-job compaction folds those into anonymous compacted files.
+    A crash mid-swap is recovered (or refused) by
+    ``recover_interrupted_compaction`` on the next call."""
     import glob
+    import json
     import os
     import shutil
 
@@ -1129,14 +1172,24 @@ def compact_lsh_index(out_dir: str) -> dict:
 
     from zhtml_ray.stages.sortagg import sorted_first_per_group
 
+    recover_interrupted_compaction(out_dir)
     files = sorted(glob.glob(os.path.join(out_dir,
                                           "bucket_part=*", "*.parquet")))
     if not files:
         return {"files_before": 0, "files_after": 0, "rows": 0}
     # bucket_part is a Hive PATH column; recompute it from bucket so
-    # the rewrite never depends on path parsing
-    n_parts = max(1, len(glob.glob(os.path.join(out_dir,
-                                                "bucket_part=*"))))
+    # the rewrite never depends on path parsing — under the PINNED
+    # modulus: a sparse index populates fewer dirs than n_parts, and
+    # counting dirs would rewrite rows where no probe looks. Only an
+    # index built before _lsh_config.json existed falls back to the
+    # dir count.
+    cfg_path = os.path.join(out_dir, "_lsh_config.json")
+    if os.path.exists(cfg_path):
+        with open(cfg_path) as f:
+            n_parts = int(json.load(f)["n_parts"])
+    else:
+        n_parts = max(1, len(glob.glob(os.path.join(out_dir,
+                                                    "bucket_part=*"))))
     ds = rd.read_parquet(files)
     # this Ray version re-infers the Hive bucket_part column even from
     # explicit file paths — recompute it from bucket regardless
@@ -1223,65 +1276,84 @@ def build_lsh_index(ds, out_dir: str, key: str = "doc_id",
         .write_parquet(out_dir, partition_cols=["bucket_part"])
 
 
-def lsh_index_probe(out_dir: str, new_ds, key: str = "doc_id",
-                    col: str = "text", n_parts: int = 64,
-                    num_perm: int = 128, bands: int = 32,
-                    shingle_k: int = 3, seed: int = 42,
-                    scan_stats: dict | None = None,
-                    new_budget_rows: int = 4_000_000):
-    """Probe a ``build_lsh_index`` directory with a NEW shard: returns
-    a distinct candidate-pair Dataset ``(key_a=new key, key_b=indexed
-    key)`` for every band-bucket collision. The new shard's exploded
-    bucket rows collect to the driver, sort ONCE by bucket, and
-    broadcast as two aligned arrays (bands × new_rows int64s + keys —
-    the defining asymmetry of incremental dedup: the NEW side is
-    small; the INDEXED side streams through pruned partitions and
-    never materializes). The driver-side collection is budgeted: a
-    shard exploding past ``new_budget_rows`` band rows (rows ×
-    ``bands``) fails loudly — split the shard or raise the budget;
-    the INDEXED side is the unbounded one by design, never this one.
-    Each indexed batch matches via ``np.searchsorted`` into the sorted
-    new-bucket array + repeat/offset pair expansion (r5 — no per-row
-    Python). Exact-Jaccard verification composes via
-    ``verify_jaccard_pairs`` over base∪new docs."""
-    import glob
-    import os
-
-    import ray
-    import ray.data as rd
-
-    from zhtml_ray.stages.sortagg import sorted_first_per_group
-    from zhtml_ray.stages.util import compact_blocks, drop_empty_blocks
-
+def collect_band_rows(ds, key: str = "doc_id", col: str = "text",
+                      num_perm: int = 128, bands: int = 32,
+                      shingle_k: int = 3, seed: int = 42,
+                      budget_rows: int = 4_000_000) -> pa.Table:
+    """ONE MinHash → band-explode pass over a probe-side Dataset, its
+    ``(bucket, key)`` rows collected to the driver. The collection is
+    budgeted: a side exploding past ``budget_rows`` band rows (rows ×
+    ``bands``) fails loudly — the probe side must be the SMALL one;
+    split it (job CLI: a smaller ``--group-size``) or raise the
+    budget. An empty Dataset yields a typed empty table."""
     mh = _cached_minhash(col, num_perm, shingle_k, seed)
     le = _cached_lsh_explode(key, bands, num_perm)
     chunks, n_rows = [], 0
-    for t in (new_ds.map_batches(mh, batch_format="pyarrow")
-                    .map_batches(le, batch_format="pyarrow")
-                    .iter_batches(batch_size=None,
-                                  batch_format="pyarrow")):
+    for t in (ds.map_batches(mh, batch_format="pyarrow")
+                .map_batches(le, batch_format="pyarrow")
+                .iter_batches(batch_size=None, batch_format="pyarrow")):
         n_rows += t.num_rows
-        if n_rows > new_budget_rows:
+        if n_rows > budget_rows:
             raise ValueError(
-                f"lsh_index_probe: new shard explodes to >{n_rows} "
-                f"band rows (budget new_budget_rows={new_budget_rows}, "
-                f"bands={bands}). The probe side must be the SMALL "
-                "side — split the shard into smaller probes or raise "
-                "the budget explicitly.")
+                f"probe side explodes to >{n_rows} band rows (budget "
+                f"new_budget_rows={budget_rows}, bands={bands}). The "
+                "probe side must be the SMALL side — split it into "
+                "smaller probes or raise the budget explicitly.")
         chunks.append(t)
-    if chunks:
-        kt = chunks[0].schema.field(key).type
-    else:
-        kt = new_ds.schema().base_schema.field(key).type
-    empty = pa.table({"key_a": pa.array([], kt),
-                      "key_b": pa.array([], kt)})
-    if n_rows == 0:
-        return rd.from_arrow(empty)
-    nb = pa.concat_tables(chunks)
-    order = pc.sort_indices(nb["bucket"].combine_chunks())
-    new_buckets = nb["bucket"].take(order).combine_chunks() \
-                              .to_numpy(zero_copy_only=False)
-    new_keys = nb[key].take(order).combine_chunks()
+    if not chunks:
+        kt = ds.schema().base_schema.field(key).type
+        return pa.table({"bucket": pa.array([], pa.int64()),
+                         key: pa.array([], kt)})
+    return pa.concat_tables(chunks)
+
+
+def _collide(nbk: np.ndarray, nkeys: pa.Array, b: pa.Table,
+             key: str) -> tuple[pa.Array, pa.Array]:
+    """Every (new key, indexed key) pair sharing a bucket, self-matches
+    (same key on both sides) excluded: ``np.searchsorted`` of the
+    indexed buckets into the sorted new buckets + repeat/offset pair
+    expansion (no per-row Python)."""
+    bb = b["bucket"].to_numpy(zero_copy_only=False)
+    lo = np.searchsorted(nbk, bb, "left")
+    hi = np.searchsorted(nbk, bb, "right")
+    cnt = hi - lo
+    sel = np.flatnonzero(cnt)
+    csel = cnt[sel]
+    total = int(csel.sum())
+    base_idx = np.repeat(sel, csel)
+    run_starts = np.cumsum(csel) - csel
+    new_idx = (np.repeat(lo[sel], csel)
+               + np.arange(total) - np.repeat(run_starts, csel))
+    ka = nkeys.take(pa.array(new_idx, pa.int64()))
+    kb = b[key].combine_chunks().take(pa.array(base_idx, pa.int64()))
+    keep = pc.invert(pc.equal(ka, kb))
+    return ka.filter(keep), kb.filter(keep)
+
+
+def _index_scan(out_dir: str, band_rows: pa.Table, key: str,
+                n_parts: int, scan_stats: dict | None, emit):
+    """The probe's index side: sort the new ``(bucket, key)`` rows
+    once, prune the index to the ``bucket_part=`` dirs they hash into,
+    and fan the pruned FILE LIST out as a Dataset — each task reads its
+    own files with pyarrow (no ``read_parquet`` planning over many tiny
+    files) and matches them against the broadcast sorted new buckets
+    with ``_collide``. ``emit(key_a, key_b)`` reduces one file's pairs
+    to the task's output rows. Returns None when no file can collide.
+    The indexed side streams file by file and never reaches the
+    driver."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from zhtml_ray.stages.util import cluster_cpus
+
+    order = pc.sort_indices(band_rows["bucket"])
+    new_buckets = band_rows["bucket"].take(order).combine_chunks() \
+                                     .to_numpy(zero_copy_only=False)
+    new_keys = band_rows[key].take(order).combine_chunks()
     want_parts = set(np.unique(np.mod(new_buckets, n_parts)).tolist())
     all_dirs = sorted(glob.glob(os.path.join(out_dir, "bucket_part=*")))
     dirs = [d for d in all_dirs
@@ -1292,33 +1364,71 @@ def lsh_index_probe(out_dir: str, new_ds, key: str = "doc_id",
     files = sorted(f for d in dirs
                    for f in glob.glob(os.path.join(d, "*.parquet")))
     if not files:
-        return rd.from_arrow(empty)
+        return None
     bref = ray.put((new_buckets, new_keys))
 
-    def collide(b: pa.Table) -> pa.Table:
+    def scan(batch: pa.Table) -> pa.Table:
         nbk, nkeys = ray.get(bref)
-        bb = b["bucket"].to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(nbk, bb, "left")
-        hi = np.searchsorted(nbk, bb, "right")
-        cnt = hi - lo
-        sel = np.flatnonzero(cnt)
-        if sel.size == 0:
-            return empty
-        csel = cnt[sel]
-        base_idx = np.repeat(sel, csel)
-        total = int(csel.sum())
-        run_starts = np.cumsum(csel) - csel
-        new_idx = (np.repeat(lo[sel], csel)
-                   + np.arange(total) - np.repeat(run_starts, csel))
-        ka = nkeys.take(pa.array(new_idx, pa.int64()))
-        kb = b[key].combine_chunks().take(pa.array(base_idx, pa.int64()))
-        keep = pc.invert(pc.equal(ka, kb))
-        return pa.table({"key_a": ka.filter(keep),
-                         "key_b": kb.filter(keep)})
+        return pa.concat_tables([
+            emit(*_collide(nbk, nkeys, pq.ParquetFile(f).read(
+                columns=["bucket", key]), key))
+            for f in batch["path"].to_pylist()])
 
-    pairs = drop_empty_blocks(
-        rd.read_parquet(files, columns=["bucket", key])
-          .map_batches(collide, batch_format="pyarrow"))
+    return rd.from_items(
+        [{"path": f} for f in files],
+        override_num_blocks=min(len(files), cluster_cpus())) \
+        .map_batches(scan, batch_size=None, batch_format="pyarrow")
+
+
+def lsh_index_semijoin(out_dir: str, band_rows: pa.Table,
+                       key: str = "doc_id", n_parts: int = 64,
+                       scan_stats: dict | None = None) -> set:
+    """The distinct new keys of ``band_rows`` that collide with an
+    indexed key other than themselves — the drop set of the job's
+    near-dup stage, i.e. the distinct ``key_a`` of ``lsh_index_probe``
+    without its pair shuffle: each scan task returns only the distinct
+    colliding new keys of each of its files and the driver takes their
+    union."""
+    ds = _index_scan(out_dir, band_rows, key, n_parts, scan_stats,
+                     lambda ka, kb: pa.table({"key_a": pc.unique(ka)}))
+    if ds is None:
+        return set()
+    drops: set = set()
+    for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        drops.update(b["key_a"].to_pylist())
+    return drops
+
+
+def lsh_index_probe(out_dir: str, new_ds, key: str = "doc_id",
+                    col: str = "text", n_parts: int = 64,
+                    num_perm: int = 128, bands: int = 32,
+                    shingle_k: int = 3, seed: int = 42,
+                    scan_stats: dict | None = None,
+                    new_budget_rows: int = 4_000_000):
+    """Probe a ``build_lsh_index`` directory with a NEW shard: returns
+    a distinct candidate-pair Dataset ``(key_a=new key, key_b=indexed
+    key)`` for every band-bucket collision. The new shard is hashed
+    once (``collect_band_rows``, budgeted by ``new_budget_rows`` — the
+    defining asymmetry of incremental dedup: the NEW side is small;
+    the INDEXED side is the unbounded one by design) and matched by
+    the shared file-list scan (``_index_scan``), then one sort makes
+    the pairs distinct. Exact-Jaccard verification composes via
+    ``verify_jaccard_pairs`` over base∪new docs."""
+    import ray.data as rd
+
+    from zhtml_ray.stages.sortagg import sorted_first_per_group
+    from zhtml_ray.stages.util import compact_blocks, drop_empty_blocks
+
+    nb = collect_band_rows(new_ds, key, col, num_perm, bands,
+                           shingle_k, seed, new_budget_rows)
+    kt = nb.schema.field(key).type
+    empty = pa.table({"key_a": pa.array([], kt),
+                      "key_b": pa.array([], kt)})
+    ds = _index_scan(out_dir, nb, key, n_parts, scan_stats,
+                     lambda ka, kb: pa.table({"key_a": ka, "key_b": kb}))
+    if ds is None:
+        return rd.from_arrow(empty)
+    pairs = drop_empty_blocks(ds)
     if pairs.count() == 0:
         return rd.from_arrow(empty)
     # distinct WITHOUT canonicalizing: key_a stays the new-shard side

@@ -16,6 +16,21 @@ exactly like the snapshot/incremental dedup literature's first stage:
     lexicographically-smaller key of every candidate pair survives
     (pairwise-canonical; deterministic and order-free).
 
+Each partition runs two Ray executions on this path:
+
+  1. one budgeted MinHash → band-explode pass collects the
+     partition's ``(bucket, key)`` rows to the driver
+     (``dedup.collect_band_rows``); the same rows feed the probe, the
+     within-partition scan (numpy, driver-side) and the append;
+  2. one semi-join over the pruned index (``dedup.lsh_index_semijoin``):
+     a Dataset of the index FILE PATHS whose tasks each read their
+     own files with pyarrow, match them against the broadcast sorted
+     new buckets and return only their distinct colliding new keys;
+     the driver takes the union — no shuffle, no pair Dataset.
+
+The manifest's ``neardup`` record times the three steps (``hash_s``,
+``probe_s``, ``append_s``) next to ``index_parts_read``.
+
 The stage is append-only on the data path (a ``neardup_keep`` bool
 column, preserving the job CLI's rows == inputs manifest invariant —
 the same contract as ``--clean``) and exactly-once on the index path:
@@ -61,7 +76,13 @@ def pin_lsh_config(index_dir: str, overrides: dict | None = None) -> dict:
     """Load ``<index>/_lsh_config.json`` (verifying any overrides
     against it) or pin defaults+overrides on first touch. A mismatch
     fails loudly: an index probed with the wrong parameters finds
-    nothing and silently lets every duplicate through."""
+    nothing and silently lets every duplicate through. A compaction
+    that crashed mid-swap is restored (or refused) first, so a missing
+    index dir beside its ``.compact.old`` is never bootstrapped
+    empty."""
+    from zhtml_ray.functions.dedup import recover_interrupted_compaction
+
+    recover_interrupted_compaction(index_dir)
     os.makedirs(index_dir, exist_ok=True)
     cfg = dict(DEFAULT_LSH_CONFIG, **(overrides or {}))
     path = os.path.join(index_dir, "_lsh_config.json")
@@ -110,35 +131,6 @@ def clean_partition_files(index_dir: str, pid: int,
     return removed
 
 
-def _collect_band_rows(docs_ds, cfg: dict, budget_rows: int) -> pa.Table:
-    """Run the MinHash → band-explode stages and collect the (bucket,
-    key) rows to the driver under an explicit budget (the probe-side
-    smallness premise — same loud failure as lsh_index_probe)."""
-    from zhtml_ray.functions.dedup import (_cached_lsh_explode,
-                                           _cached_minhash)
-
-    mh = _cached_minhash(cfg["col"], cfg["num_perm"], cfg["shingle_k"],
-                         cfg["seed"])
-    le = _cached_lsh_explode(cfg["key"], cfg["bands"], cfg["num_perm"])
-    chunks, n = [], 0
-    for t in (docs_ds.map_batches(mh, batch_format="pyarrow")
-                     .map_batches(le, batch_format="pyarrow")
-                     .iter_batches(batch_size=None,
-                                   batch_format="pyarrow")):
-        n += t.num_rows
-        if n > budget_rows:
-            raise ValueError(
-                f"neardup partition explodes to >{n} band rows "
-                f"(budget {budget_rows}); shrink --group-size so each "
-                "partition stays the small probe side")
-        chunks.append(t)
-    if not chunks:
-        kt = docs_ds.schema().base_schema.field(cfg["key"]).type
-        return pa.table({"bucket": pa.array([], pa.int64()),
-                         cfg["key"]: pa.array([], kt)})
-    return pa.concat_tables(chunks)
-
-
 def append_partition_to_index(band_rows: pa.Table, index_dir: str,
                               pid: int, cfg: dict,
                               tag: str = "") -> int:
@@ -165,7 +157,7 @@ def partition_neardup(docs_ds, index_dir: str, pid: int,
                       cfg: dict | None = None,
                       budget_rows: int = 4_000_000,
                       tag: str = ""):
-    """The per-partition probe → mark → append lifecycle.
+    """The per-partition hash → probe → mark → append lifecycle.
 
     ``docs_ds``: the partition's extracted docs (must contain
     ``cfg[key]`` and ``cfg[col]``; pass a column-pruned dataset).
@@ -173,31 +165,33 @@ def partition_neardup(docs_ds, index_dir: str, pid: int,
     keys marked near-duplicate and ``stats`` the manifest record.
     Caller sequencing contract: partitions run in ascending pid order
     (run_partitioned forces overlap=1)."""
-    from zhtml_ray.functions.dedup import lsh_index_probe
-    from zhtml_ray.stages.sortagg import sorted_first_per_group
+    from time import perf_counter
+
+    from zhtml_ray.functions.dedup import (collect_band_rows,
+                                           lsh_index_semijoin)
 
     cfg = cfg or pin_lsh_config(index_dir)
+    key = cfg["key"]
     cleaned = clean_partition_files(index_dir, pid, tag)
-    scan_stats: dict = {}
-    pairs = lsh_index_probe(
-        index_dir, docs_ds, key=cfg["key"], col=cfg["col"],
-        n_parts=cfg["n_parts"], num_perm=cfg["num_perm"],
+    t0 = perf_counter()
+    band_rows = collect_band_rows(
+        docs_ds, key=key, col=cfg["col"], num_perm=cfg["num_perm"],
         bands=cfg["bands"], shingle_k=cfg["shingle_k"],
-        seed=cfg["seed"], scan_stats=scan_stats,
-        new_budget_rows=budget_rows)
-    index_drops = {r["key_a"] for r in
-                   sorted_first_per_group(pairs, ["key_a"]).take_all()} \
-        if pairs.count() else set()
+        seed=cfg["seed"], budget_rows=budget_rows)
+    t1 = perf_counter()
+    scan_stats: dict = {}
+    index_drops = lsh_index_semijoin(index_dir, band_rows, key=key,
+                                     n_parts=cfg["n_parts"],
+                                     scan_stats=scan_stats)
+    t2 = perf_counter()
 
-    # within-partition: band rows collected ONCE serve both the pair
-    # scan (numpy, driver-side — the partition is the budgeted small
-    # side by contract) and, post-filter, the index append
-    band_rows = _collect_band_rows(docs_ds, cfg, budget_rows)
-    order = np.lexsort((
-        np.asarray(band_rows[cfg["key"]].to_pylist(), object),
-        band_rows["bucket"].to_numpy(zero_copy_only=False)))
-    bk = band_rows["bucket"].to_numpy(zero_copy_only=False)[order]
-    keys = np.asarray(band_rows[cfg["key"]].to_pylist(), object)[order]
+    # within-partition: the same band rows serve the pair scan (numpy,
+    # driver-side — the partition is the budgeted small side by
+    # contract) and, post-filter, the index append
+    keys = np.asarray(band_rows[key].to_pylist(), object)
+    bk = band_rows["bucket"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((keys, bk))
+    bk, keys = bk[order], keys[order]
     within_drops: set = set()
     run_start = 0
     for i in range(1, len(bk) + 1):
@@ -211,11 +205,12 @@ def partition_neardup(docs_ds, index_dir: str, pid: int,
     drop_keys = index_drops | within_drops
 
     survivors = band_rows if not drop_keys else band_rows.filter(
-        pa.array([k not in drop_keys
-                  for k in band_rows[cfg["key"]].to_pylist()]))
+        pa.array([k not in drop_keys for k in band_rows[key].to_pylist()]))
+    t3 = perf_counter()
     files_written = append_partition_to_index(survivors, index_dir,
                                               pid, cfg, tag)
-    n_docs = len(set(band_rows[cfg["key"]].to_pylist()))
+    t4 = perf_counter()
+    n_docs = len(set(keys.tolist()))
     stats = {
         "index_dir": index_dir,
         "probed": n_docs,
@@ -223,6 +218,9 @@ def partition_neardup(docs_ds, index_dir: str, pid: int,
         "dropped_within": len(within_drops - index_drops),
         "appended": n_docs - len(drop_keys),
         "index_parts_read": scan_stats.get("n_parts_read", 0),
+        "hash_s": round(t1 - t0, 3),
+        "probe_s": round(t2 - t1, 3),
+        "append_s": round(t4 - t3, 3),
         "index_files_written": files_written,
         "stale_files_cleaned": cleaned,
     }
