@@ -193,6 +193,32 @@ def test_jpeg_roundtrip_color_gray_odd_sizes():
     assert np.array_equal(decg[:, :, 0], decg[:, :, 1])
 
 
+def test_jpeg_gray_decode_rounds():
+    """The grayscale branch rounds the reconstructed samples, as the
+    colour branch does: a decoded gray image equals the rounded IDCT of
+    its own dequantized coefficients, pixel for pixel (truncation is
+    off by one wherever the reconstruction lands below an integer)."""
+    import numpy as np
+
+    from zhtml_ray.functions import mediacodec as mc
+
+    y, x = np.mgrid[0:16, 0:24]
+    gray = (x * 7 + y * 5 + 17).astype(np.uint8)
+    qt8 = mc._scaled_qt(mc._QT_LUM, 90).reshape(8, 8)
+    ref = np.zeros(gray.shape)
+    for y0 in range(0, 16, 8):
+        for x0 in range(0, 24, 8):
+            zz = mc._quantize_block(gray - 128.0, y0, x0, qt8)
+            f = np.zeros(64)
+            f[mc._ZIGZAG] = zz * qt8.reshape(64)[mc._ZIGZAG]
+            ref[y0:y0 + 8, x0:x0 + 8] = \
+                mc._DCT_M.T @ f.reshape(8, 8) @ mc._DCT_M
+    ref = np.clip(ref + 128.0, 0, 255)
+    assert (ref != np.round(ref)).any()
+    dec = mc.decode_jpeg(mc.encode_jpeg(gray, 90))
+    assert np.array_equal(dec[:, :, 0], ref.round().astype(np.uint8))
+
+
 def test_jpeg_subsampling_and_restart_markers():
     """The decoder's generic-sampling (4:2:0 → 2×2 Y per MCU, chroma
     upsampled) and restart-interval (DRI + RSTn segmentation, DC

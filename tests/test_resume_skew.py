@@ -527,3 +527,246 @@ def test_job_cli_compact_index_mode(ray_session, tmp_path, capsys):
     stats = _json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert stats["files_after"] <= stats["files_before"]
     assert main([]) == 2
+
+
+def _keep_rows(odir) -> list:
+    """(partition dir, url, neardup_keep) of every output row, sorted."""
+    import pyarrow.dataset as pads
+    rows = []
+    for d in sorted(glob.glob(os.path.join(odir, "part-*"))):
+        t = pads.dataset(sorted(glob.glob(d + "/*.parquet"))) \
+            .to_table(columns=["url", "neardup_keep"])
+        rows += [(os.path.basename(d), u, k) for u, k in
+                 zip(t["url"].to_pylist(), t["neardup_keep"].to_pylist())]
+    return sorted(rows)
+
+
+def _index_contents(idx, tag) -> dict:
+    """bucket_part-relative file name (job tag stripped) -> sorted rows."""
+    import pyarrow.parquet as pq
+    out = {}
+    for f in glob.glob(os.path.join(idx, "bucket_part=*", "*.parquet")):
+        t = pq.read_table(f)
+        name = os.path.relpath(f, idx).replace(tag, "")
+        out[name] = sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
+    return out
+
+
+def test_neardup_epoch_sizes_agree(ray_session, tmp_path):
+    """--overlap is the near-dup epoch size: one-shard partitions under
+    epochs of 1, 2 and 3 (twin-a/twin-b in one epoch at 2, split at 3)
+    give identical keep maps and index contents, and each manifest
+    names the pids that shared its snapshot."""
+    from zhtml_ray.stages.manifest import run_partitioned
+    from zhtml_ray.stages.neardup import job_tag
+
+    shards = _neardup_shards(tmp_path)
+    results = {}
+    for overlap in (1, 2, 3):
+        out_dir = str(tmp_path / f"out{overlap}")
+        idx = str(tmp_path / f"idx{overlap}")
+        r = run_partitioned(shards, out_dir, group_size=1, overlap=overlap,
+                            extract_kwargs={"include_spans": False,
+                                            "neardup_index": idx})
+        assert r["complete"] and r["rows"] == 10
+        ms = [json.load(open(p)) for p in sorted(glob.glob(
+            os.path.join(out_dir, "_manifests", "part-*.json")))]
+        assert [m["neardup"]["epoch_pids"] for m in ms] == \
+            [list(range(p - p % overlap, min(p - p % overlap + overlap, 6)))
+             for p in range(6)]
+        results[overlap] = (_keep_rows(out_dir),
+                            _index_contents(idx, job_tag(out_dir)))
+    assert results[1] == results[2] == results[3]
+    keeps = {u: k for _, u, k in results[1][0]}
+    assert keeps["http://p0/base-t"] and not keeps["http://p1/dup-t"]
+    assert keeps["http://p1/twin-a"] and not keeps["http://p1/twin-b"]
+    assert not keeps["http://p2/dup-s"]
+    assert all(keeps[u] for u in keeps if "/u" in u)
+
+
+def test_neardup_epoch_chain_survives(ray_session, tmp_path):
+    """C collides only with its epoch-mate B, and B drops against the
+    index: C survives, as it does when B and C run one after the other
+    (B's rows never reach the index). Without the indexed A, B survives
+    and C drops against it."""
+    import shutil
+
+    import pyarrow as pa
+    from zhtml_ray.stages.neardup import (append_partition_to_index,
+                                          pin_lsh_config, resolve_epoch)
+
+    def rows(*pairs):
+        return pa.table({"bucket": pa.array([b for b, _ in pairs],
+                                            pa.int64()),
+                         "url": pa.array([u for _, u in pairs])})
+
+    base = str(tmp_path / "base")
+    cfg = pin_lsh_config(base, {"n_parts": 4})
+    append_partition_to_index(rows((1, "A")), base, 0, cfg, tag="old")
+    parts = [(1, rows((1, "B"), (2, "B"))), (2, rows((2, "C"), (3, "C")))]
+
+    def drops(idx, epochs):
+        shutil.copytree(base, idx)
+        return [sorted(d.to_pylist()) for e in epochs
+                for d, _ in resolve_epoch(idx, cfg, e)]
+
+    epoch = drops(str(tmp_path / "epoch"), [parts])
+    assert epoch == drops(str(tmp_path / "seq"), [[p] for p in parts])
+    assert epoch == [["B"], []]
+    empty = str(tmp_path / "empty")
+    pin_lsh_config(empty, {"n_parts": 4})
+    assert [sorted(d.to_pylist()) for d, _ in
+            resolve_epoch(empty, cfg, parts)] == [[], ["C"]]
+
+
+def test_neardup_epoch_matches_semijoin_reference(ray_session, tmp_path):
+    """Random band rows over a small bucket space (dense collisions,
+    urls repeated across partitions and against the index): every epoch
+    split resolves to the drop sets of the one-partition-at-a-time
+    reference — semi-join probe, within-partition smallest-key rule,
+    append of the survivors."""
+    import shutil
+
+    import numpy as np
+    import pyarrow as pa
+    from zhtml_ray.functions.dedup import lsh_index_semijoin
+    from zhtml_ray.stages.neardup import (append_partition_to_index,
+                                          pin_lsh_config, resolve_epoch)
+
+    rng = np.random.default_rng(7)
+
+    def rows(n, urls):
+        return pa.table({
+            "bucket": pa.array(rng.integers(0, 60, n), pa.int64()),
+            "url": pa.array([f"u{i}" for i in rng.integers(0, urls, n)])})
+
+    base = str(tmp_path / "base")
+    cfg = pin_lsh_config(base, {"n_parts": 8})
+    append_partition_to_index(rows(12, 40), base, 0, cfg, tag="old")
+    parts = [(pid, rows(int(rng.integers(0, 30)), 40))
+             for pid in range(6)]
+
+    def reference(idx):
+        out = []
+        for pid, band in parts:
+            drops = lsh_index_semijoin(idx, band, key="url", n_parts=8)
+            by_bucket: dict = {}
+            for b, u in zip(band["bucket"].to_pylist(),
+                            band["url"].to_pylist()):
+                by_bucket.setdefault(b, set()).add(u)
+            for us in by_bucket.values():
+                drops |= us - {min(us)}
+            survivors = band.filter(pa.array(
+                [u not in drops for u in band["url"].to_pylist()]))
+            append_partition_to_index(survivors, idx, pid, cfg)
+            out.append(sorted(drops))
+        return out
+
+    ref_idx = str(tmp_path / "ref")
+    shutil.copytree(base, ref_idx)
+    ref = reference(ref_idx)
+    n_keys = sum(len(set(b["url"].to_pylist())) for _, b in parts)
+    assert 0 < sum(map(len, ref)) < n_keys  # drops and survivors both
+    for size in (1, 2, 4, 6):
+        idx = str(tmp_path / f"e{size}")
+        shutil.copytree(base, idx)
+        got = [sorted(d.to_pylist())
+               for i in range(0, len(parts), size)
+               for d, _ in resolve_epoch(idx, cfg, parts[i:i + size])]
+        assert got == ref, size
+        assert _index_contents(idx, "") == _index_contents(ref_idx, "")
+
+
+def test_neardup_same_url_in_two_partitions_of_one_epoch(ray_session,
+                                                          tmp_path):
+    """One url in two partitions of one epoch is resolved per
+    partition: the second copy's only collision is with its own url
+    (a self-match), so both copies keep, as sequentially."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from zhtml_ray.stages.manifest import run_partitioned
+
+    text = " ".join(f"recrawled page words {i} k{i}v" for i in range(15))
+    other = " ".join(f"w{j}x y{j}z other page" for j in range(20))
+    shards = []
+    for i, docs in enumerate([[("http://s/same", text)],
+                              [("http://s/same", text),
+                               ("http://s/other", other)]]):
+        f = str(tmp_path / f"s{i}.parquet")
+        pq.write_table(pa.table({
+            "url": [u for u, _ in docs],
+            "html": [f"<html><body><p>{t}</p></body></html>".encode()
+                     for _, t in docs]}), f)
+        shards.append(f)
+    got = {}
+    for overlap in (1, 2):
+        out_dir = str(tmp_path / f"out{overlap}")
+        run_partitioned(shards, out_dir, group_size=1, overlap=overlap,
+                        extract_kwargs={"include_spans": False,
+                                        "neardup_index": str(
+                                            tmp_path / f"idx{overlap}")})
+        got[overlap] = _keep_rows(out_dir)
+    assert got[1] == got[2] == [
+        ("part-000000", "http://s/same", True),
+        ("part-000001", "http://s/other", True),
+        ("part-000001", "http://s/same", True)]
+
+
+def test_neardup_crash_mid_epoch_resumes_narrower(ray_session, tmp_path,
+                                                  monkeypatch):
+    """A crash after an overlap=4 epoch's appends but before its
+    manifests leaves appends of several pids and no manifest. A resume
+    under overlap=2 cleans every incomplete pid's appends before its
+    first scan, records them per pid, and converges to a sequential
+    run's keep map and index."""
+    import pytest
+    import zhtml_ray.functions.dedup as dedup
+    import zhtml_ray.stages.manifest as manifest
+    from zhtml_ray.stages.neardup import job_tag
+
+    shards = _neardup_shards(tmp_path)
+    out_dir, idx = str(tmp_path / "out"), str(tmp_path / "idx")
+    kw = {"include_spans": False, "neardup_index": idx}
+    tag = job_tag(out_dir)
+
+    def crash(*a, **k):
+        raise RuntimeError("killed before the manifests")
+
+    with monkeypatch.context() as m:
+        m.setattr(manifest, "_write_manifest", crash)
+        with pytest.raises(RuntimeError, match="killed"):
+            manifest.run_partitioned(shards, out_dir, group_size=1,
+                                     overlap=4, extract_kwargs=kw)
+    assert not manifest.completed_partitions(out_dir)
+    stale = {pid: len(glob.glob(os.path.join(
+        idx, "bucket_part=*", f"part-{tag}{pid:06d}.parquet")))
+        for pid in range(6)}
+    assert all(stale[p] for p in range(4)) and not stale[4] + stale[5]
+
+    scanned = []
+    hits = dedup.lsh_index_bucket_hits
+
+    def spy(index_dir, *a, **k):
+        scanned.append(sorted(os.path.basename(f) for f in glob.glob(
+            os.path.join(index_dir, "bucket_part=*", "*.parquet"))))
+        return hits(index_dir, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(dedup, "lsh_index_bucket_hits", spy)
+        r = manifest.run_partitioned(shards, out_dir, group_size=1,
+                                     overlap=2, extract_kwargs=kw)
+    assert r["complete"] and r["partitions_ran"] == 6
+    assert scanned[0] == []  # no pid's stale rows in the first snapshot
+    recorded = {}
+    for p in glob.glob(os.path.join(out_dir, "_manifests", "part-*.json")):
+        nd = json.load(open(p))
+        recorded[nd["partition_id"]] = nd["neardup"]["stale_files_cleaned"]
+    assert recorded == stale
+
+    ref_out, ref_idx = str(tmp_path / "ref"), str(tmp_path / "ref_idx")
+    manifest.run_partitioned(shards, ref_out, group_size=1, overlap=1,
+                             extract_kwargs={"include_spans": False,
+                                             "neardup_index": ref_idx})
+    assert _keep_rows(out_dir) == _keep_rows(ref_out)
+    assert _index_contents(idx, tag) == \
+        _index_contents(ref_idx, job_tag(ref_out))

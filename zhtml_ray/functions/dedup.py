@@ -1330,17 +1330,43 @@ def _collide(nbk: np.ndarray, nkeys: pa.Array, b: pa.Table,
     return ka.filter(keep), kb.filter(keep)
 
 
+def first_of_run(v: np.ndarray) -> np.ndarray:
+    """For each row of sorted ``v``, the index of the first row of its
+    run of equal values."""
+    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]][:len(v)])
+    return np.repeat(first, np.diff(np.r_[first, len(v)]))
+
+
+def two_keys_per_bucket(t: pa.Table, key: str) -> pa.Table:
+    """The distinct ``(bucket, key)`` rows of ``t`` cut to at most two
+    distinct keys per bucket. Two suffice for ``_collide``'s question —
+    does the bucket hold a key OTHER than the probing one? — so a
+    popular bucket (boilerplate pages) keeps two rows, not millions."""
+    t = t.group_by(["bucket", key], use_threads=False).aggregate([]) \
+        .sort_by([("bucket", "ascending"), (key, "ascending")])
+    tb = t["bucket"].to_numpy(zero_copy_only=False)
+    return t.filter(pa.array(np.arange(len(tb)) - first_of_run(tb) < 2))
+
+
+def _bucket_hits(nbk: np.ndarray, b: pa.Table, key: str) -> pa.Table:
+    """``two_keys_per_bucket`` of the rows of ``b`` whose bucket is in
+    the sorted, non-empty new buckets ``nbk``."""
+    bb = b["bucket"].to_numpy(zero_copy_only=False)
+    i = np.minimum(np.searchsorted(nbk, bb), len(nbk) - 1)
+    return two_keys_per_bucket(b.filter(pa.array(nbk[i] == bb)), key)
+
+
 def _index_scan(out_dir: str, band_rows: pa.Table, key: str,
                 n_parts: int, scan_stats: dict | None, emit):
     """The probe's index side: sort the new ``(bucket, key)`` rows
     once, prune the index to the ``bucket_part=`` dirs they hash into,
     and fan the pruned FILE LIST out as a Dataset — each task reads its
     own files with pyarrow (no ``read_parquet`` planning over many tiny
-    files) and matches them against the broadcast sorted new buckets
-    with ``_collide``. ``emit(key_a, key_b)`` reduces one file's pairs
-    to the task's output rows. Returns None when no file can collide.
-    The indexed side streams file by file and never reaches the
-    driver."""
+    files) and matches them against the broadcast sorted new buckets:
+    ``emit(new_buckets, new_keys, file_table)`` (built on ``_collide``
+    or ``_bucket_hits``) reduces one file to the task's output rows.
+    Returns None when no file can collide. The indexed side streams
+    file by file and never reaches the calling process."""
     import glob
     import os
 
@@ -1370,8 +1396,8 @@ def _index_scan(out_dir: str, band_rows: pa.Table, key: str,
     def scan(batch: pa.Table) -> pa.Table:
         nbk, nkeys = ray.get(bref)
         return pa.concat_tables([
-            emit(*_collide(nbk, nkeys, pq.ParquetFile(f).read(
-                columns=["bucket", key]), key))
+            emit(nbk, nkeys, pq.ParquetFile(f).read(
+                columns=["bucket", key]))
             for f in batch["path"].to_pylist()])
 
     return rd.from_items(
@@ -1384,19 +1410,44 @@ def lsh_index_semijoin(out_dir: str, band_rows: pa.Table,
                        key: str = "doc_id", n_parts: int = 64,
                        scan_stats: dict | None = None) -> set:
     """The distinct new keys of ``band_rows`` that collide with an
-    indexed key other than themselves — the drop set of the job's
-    near-dup stage, i.e. the distinct ``key_a`` of ``lsh_index_probe``
-    without its pair shuffle: each scan task returns only the distinct
+    indexed key other than themselves — the index-side drop set of ONE
+    probe, i.e. the distinct ``key_a`` of ``lsh_index_probe`` without
+    its pair shuffle: each scan task returns only the distinct
     colliding new keys of each of its files and the driver takes their
-    union."""
+    union. The one-partition-at-a-time reference that the job's
+    epoch resolve (stages/neardup.py:resolve_epoch) is tested
+    against."""
     ds = _index_scan(out_dir, band_rows, key, n_parts, scan_stats,
-                     lambda ka, kb: pa.table({"key_a": pc.unique(ka)}))
+                     lambda nbk, nkeys, b: pa.table({"key_a": pc.unique(
+                         _collide(nbk, nkeys, b, key)[0])}))
     if ds is None:
         return set()
     drops: set = set()
     for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         drops.update(b["key_a"].to_pylist())
     return drops
+
+
+def lsh_index_bucket_hits(out_dir: str, band_rows: pa.Table,
+                          key: str = "doc_id", n_parts: int = 64,
+                          scan_stats: dict | None = None) -> pa.Table:
+    """The indexed ``(bucket, key)`` rows sharing a bucket with
+    ``band_rows``, at most two distinct keys per bucket
+    (``_bucket_hits``), in ``band_rows``' schema. ``_collide`` of any
+    subset of ``band_rows`` against them gives exactly the pairs the
+    semi-join would find for that subset, so ONE scan serves several
+    probe sides (the job's near-dup epoch)."""
+    schema = band_rows.select(["bucket", key]).schema
+    ds = _index_scan(out_dir, band_rows, key, n_parts, scan_stats,
+                     lambda nbk, nkeys, b: _bucket_hits(nbk, b, key))
+    if ds is None:
+        return schema.empty_table()
+    # each file of a bucket_part sent its own two keys per bucket
+    return two_keys_per_bucket(pa.concat_tables(
+        [schema.empty_table()]
+        + [t.cast(schema) for t in
+           ds.iter_batches(batch_size=None, batch_format="pyarrow")]),
+        key)
 
 
 def lsh_index_probe(out_dir: str, new_ds, key: str = "doc_id",
@@ -1425,7 +1476,8 @@ def lsh_index_probe(out_dir: str, new_ds, key: str = "doc_id",
     empty = pa.table({"key_a": pa.array([], kt),
                       "key_b": pa.array([], kt)})
     ds = _index_scan(out_dir, nb, key, n_parts, scan_stats,
-                     lambda ka, kb: pa.table({"key_a": ka, "key_b": kb}))
+                     lambda nbk, nkeys, b: pa.table(dict(zip(
+                         ("key_a", "key_b"), _collide(nbk, nkeys, b, key)))))
     if ds is None:
         return rd.from_arrow(empty)
     pairs = drop_empty_blocks(ds)

@@ -744,7 +744,7 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
         rp = np.repeat(np.repeat(p, vmax // c["v"], 0), hmax // c["h"], 1)
         up.append(rp[:h, :w])
     if len(up) == 1:
-        y = np.clip(up[0] + 128.0, 0, 255).astype(np.uint8)
+        y = np.clip(up[0] + 128.0, 0, 255).round().astype(np.uint8)
         return np.repeat(y[:, :, None], 3, axis=2)
     y, cb, cr = up[0] + 128.0, up[1], up[2]
     r = y + 1.402 * cr

@@ -33,7 +33,9 @@ def main(argv=None):
     p.add_argument("--group-size", type=int, default=4,
                    help="input shards per partition (resume granularity)")
     p.add_argument("--overlap", type=int, default=2,
-                   help="concurrent partition sub-executions")
+                   help="concurrent partition sub-executions; with "
+                        "--neardup-index, the epoch size: that many "
+                        "consecutive partitions share one index scan")
     p.add_argument("--batch-size", type=int, default=None,
                    help="rows per parse batch; default block-as-batch")
     p.add_argument("--no-spans", action="store_true")
@@ -47,8 +49,9 @@ def main(argv=None):
                         "neardup_keep column, and append survivors so "
                         "later partitions/jobs dedup against them "
                         "(bootstraps an empty dir; config-pinned via "
-                        "the dir's _lsh_config.json; forces "
-                        "sequential partitions)")
+                        "the dir's _lsh_config.json; partitions run in "
+                        "epochs of --overlap with the same drops as a "
+                        "sequential run)")
     args = p.parse_args(argv)
 
     import os

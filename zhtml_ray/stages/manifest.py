@@ -6,7 +6,10 @@ Partition = a contiguous group of input shard files (deterministic ids
 from the sorted input list). Each partition is one streaming Ray Data
 sub-execution: read → extract → write to a temp dir → atomic rename →
 manifest record. On resume, completed partition ids are loaded and
-their input shards are skipped BEFORE any read is issued.
+their input shards are skipped BEFORE any read is issued. With
+``--neardup-index`` a partition splits into a prepare half (extract +
+hash) and a finish half (mark + write) around one shared near-dup
+resolve per epoch of ``overlap`` partitions (``_run_neardup_epochs``).
 
 The manifest row doubles as lineage + metrics:
   {partition_id, input_files, rows, html_bytes, checksum,
@@ -53,9 +56,12 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
     return out
 
 
-def _run_one_partition(part: dict, out_dir: str, extract_kwargs: dict) -> dict:
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
+def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
+                       nd_cfg: dict | None = None) -> dict:
+    """First half of a partition: read → extract → [clean]. With
+    ``nd_cfg`` (``--neardup-index``) the extraction is materialized
+    and hashed to its ``(bucket, key)`` band rows, ready for the
+    epoch's resolve (stages/neardup.py:resolve_epoch)."""
     import ray.data as rd
 
     from zhtml_ray.pipelines.extract import extract_pages
@@ -121,41 +127,49 @@ def _run_one_partition(part: dict, out_dir: str, extract_kwargs: dict) -> dict:
         ds = ds.union(*parts_ds[1:])
     extract_kwargs = dict(extract_kwargs)
     clean = extract_kwargs.pop("clean", False)
-    neardup_index = extract_kwargs.pop("neardup_index", None)
+    extract_kwargs.pop("neardup_index", None)
     out = extract_pages(ds, **extract_kwargs)
     if clean:  # job-CLI --clean: C4+Gopher columns appended per row
         from zhtml_ray.pipelines.ops_queries import append_clean_columns
         out = out.map_batches(append_clean_columns,
                               batch_format="pyarrow")
-    nd_stats = None
-    if neardup_index:
-        # --neardup-index: probe the at-rest LSH index, mark collider
-        # docs (append-only neardup_keep column — rows == inputs
-        # invariant preserved), append survivors' band rows so later
-        # partitions/jobs see them (stages/neardup.py; exactly-once
-        # via deterministic file names + pre-probe crash cleanup).
-        # materialize: the extraction is consumed twice (probe + final
+    prep = {"part": part, "t0": t0, "out": out,
+            "tmp_dir": tmp_dir, "final_dir": final_dir}
+    if nd_cfg is not None:
+        # materialize: the extraction is consumed twice (hash + final
         # write) and must not re-parse — partitions are the bounded
         # unit (group_size shards), so blocks fit the object store.
-        import ray
+        from zhtml_ray.stages.neardup import partition_band_rows
+        out = prep["out"] = out.materialize()
+        key = prep["neardup_key"] = nd_cfg["key"]
+        t1 = time.perf_counter()
+        prep["band_rows"] = partition_band_rows(out.map_batches(
+            lambda b, _c=(key, nd_cfg["col"]): b.select(list(_c)),
+            batch_format="pyarrow"), nd_cfg)
+        prep["hash_s"] = round(time.perf_counter() - t1, 3)
+    return prep
 
-        from zhtml_ray.stages.neardup import (job_tag,
-                                              partition_neardup,
-                                              pin_lsh_config)
-        out = out.materialize()
-        cfg = pin_lsh_config(neardup_index)
-        docs = out.map_batches(
-            lambda b, _c=(cfg["key"], cfg["col"]): b.select(list(_c)),
-            batch_format="pyarrow")
-        drop_keys, nd_stats = partition_neardup(
-            docs, neardup_index, pid, cfg, tag=job_tag(out_dir))
+
+def _finish_partition(prep: dict, drop_keys=None,
+                      nd_stats: dict | None = None) -> dict:
+    """Second half: [mark ``neardup_keep``] → write to a temp dir →
+    atomic rename → lineage scan. Returns the manifest record; the
+    caller writes it (``_write_manifest``). ``drop_keys``: an Arrow
+    array of the near-duplicate keys (``--neardup-index`` only)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    out, tmp_dir, final_dir = prep["out"], prep["tmp_dir"], prep["final_dir"]
+    if drop_keys is not None:
+        # append-only neardup_keep column: rows == inputs invariant
+        # preserved (stages/neardup.py)
+        import ray
         dref = ray.put(drop_keys)
 
-        def mark(b: pa.Table, _k=cfg["key"]) -> pa.Table:
-            drops = ray.get(dref)
-            keep = [k not in drops for k in b[_k].to_pylist()]
-            return b.append_column("neardup_keep",
-                                   pa.array(keep, pa.bool_()))
+        def mark(b: pa.Table, _k=prep["neardup_key"]) -> pa.Table:
+            keep = pc.invert(pc.is_in(b[_k], value_set=ray.get(dref)))
+            return b.append_column("neardup_keep", keep.combine_chunks())
 
         out = out.map_batches(mark, batch_format="pyarrow")
     out.write_parquet(tmp_dir)
@@ -192,24 +206,78 @@ def _run_one_partition(part: dict, out_dir: str, extract_kwargs: dict) -> dict:
             html_bytes += int(pc.sum(b.column(2)).as_py() or 0)
 
     manifest = {
-        "partition_id": pid,
-        "input_files": part["input_files"],
+        "partition_id": prep["part"]["partition_id"],
+        "input_files": prep["part"]["input_files"],
         "rows": rows,
         "html_bytes": html_bytes,
         "checksum": checksum,
         "error_counts": err_counts,
-        "wall_s": round(time.time() - t0, 3),
+        "wall_s": round(time.time() - prep["t0"], 3),
         "output_dir": final_dir,
     }
     if nd_stats is not None:
         manifest["neardup"] = nd_stats
-    mp = _manifest_path(out_dir, pid)
+    return manifest
+
+
+def _write_manifest(out_dir: str, manifest: dict) -> None:
+    mp = _manifest_path(out_dir, manifest["partition_id"])
     os.makedirs(os.path.dirname(mp), exist_ok=True)
     tmp = mp + ".tmp"
     with open(tmp, "w") as f:
         json.dump(manifest, f)
     os.replace(tmp, mp)
+
+
+def _run_one_partition(part: dict, out_dir: str, extract_kwargs: dict) -> dict:
+    manifest = _finish_partition(
+        _prepare_partition(part, out_dir, extract_kwargs))
+    _write_manifest(out_dir, manifest)
     return manifest
+
+
+def _run_neardup_epochs(todo: list[dict], todo_now: list[dict],
+                        out_dir: str, extract_kwargs: dict,
+                        epoch_size: int) -> list[dict]:
+    """``--neardup-index`` partitions, ``epoch_size`` consecutive ones
+    at a time: concurrent prepare (extract + hash), one in-process
+    ``resolve_epoch`` (one index scan, ascending-pid resolve, appends),
+    concurrent finish, then the manifests in ascending pid order — so a
+    later pid is never complete while an earlier one is not. The drops
+    equal a sequential run's for every ``epoch_size``. A partition's
+    ``wall_s`` runs from its prepare to its finish, so it includes the
+    epoch's shared resolve and any wait for its epoch-mates."""
+    from zhtml_ray.stages.neardup import (clean_partition_files, job_tag,
+                                          pin_lsh_config, resolve_epoch)
+
+    index = extract_kwargs["neardup_index"]
+    cfg = pin_lsh_config(index)
+    tag = job_tag(out_dir)
+    # every incomplete pid's appends go before the first scan: a crash
+    # mid-epoch leaves appends of SEVERAL pids, and a resume under a
+    # narrower epoch must not find a later pid's rows in its snapshot
+    cleaned = {p["partition_id"]: clean_partition_files(
+        index, p["partition_id"], tag) for p in todo}
+    ran = []
+    with ThreadPoolExecutor(max_workers=epoch_size) as pool:
+        for i in range(0, len(todo_now), epoch_size):
+            preps = list(pool.map(
+                lambda p: _prepare_partition(p, out_dir, extract_kwargs,
+                                             cfg),
+                todo_now[i:i + epoch_size]))
+            resolved = resolve_epoch(
+                index, cfg, [(pr["part"]["partition_id"], pr["band_rows"])
+                             for pr in preps], tag)
+            for pr, (_, st) in zip(preps, resolved):
+                st.update(hash_s=pr["hash_s"], stale_files_cleaned=cleaned[
+                    pr["part"]["partition_id"]])
+            manifests = list(pool.map(
+                lambda a: _finish_partition(a[0], *a[1]),
+                zip(preps, resolved)))
+            for m in manifests:
+                _write_manifest(out_dir, m)
+            ran += manifests
+    return ran
 
 
 def run_partitioned(input_files: list[str], out_dir: str,
@@ -219,7 +287,8 @@ def run_partitioned(input_files: list[str], out_dir: str,
     """Resumable partitioned extraction run.
 
     ``overlap`` sub-executions run concurrently (each is itself a
-    streaming pipeline, so this mainly hides per-execution setup).
+    streaming pipeline, so this mainly hides per-execution setup);
+    with ``neardup_index`` it is the near-dup epoch size.
     ``fail_after`` aborts after N newly completed partitions — test hook
     for the kill/resume test. Returns a summary dict."""
     os.makedirs(out_dir, exist_ok=True)
@@ -231,12 +300,12 @@ def run_partitioned(input_files: list[str], out_dir: str,
     # OOM); explicit-default vs absent must compare equal (r3 review)
     neardup_index = extract_kwargs.get("neardup_index", None)
     if neardup_index:
-        # partition P's probe must see partitions 0..P-1's index
-        # appends — sequential by contract (stages/neardup.py)
+        # overlap = epoch size: partition P's drops still equal a
+        # sequential run's, which sees partitions 0..P-1's appends
+        # (_run_neardup_epochs, stages/neardup.py:resolve_epoch)
         neardup_index = os.path.abspath(neardup_index)
         extract_kwargs = dict(extract_kwargs,
                               neardup_index=neardup_index)
-        overlap = 1
     cfg_tag = json.dumps({
         "include_spans": extract_kwargs.get("include_spans", True),
         "thresholds": repr(extract_kwargs.get("thresholds", None)),
@@ -301,7 +370,10 @@ def run_partitioned(input_files: list[str], out_dir: str,
         todo_now = todo[:fail_after]
     else:
         todo_now = todo
-    if overlap > 1 and len(todo_now) > 1:
+    if neardup_index and todo_now:
+        ran = _run_neardup_epochs(todo, todo_now, out_dir, extract_kwargs,
+                                  max(1, overlap))
+    elif overlap > 1 and len(todo_now) > 1:
         with ThreadPoolExecutor(max_workers=overlap) as pool:
             ran = list(pool.map(
                 lambda p: _run_one_partition(p, out_dir, extract_kwargs),

@@ -16,28 +16,37 @@ exactly like the snapshot/incremental dedup literature's first stage:
     lexicographically-smaller key of every candidate pair survives
     (pairwise-canonical; deterministic and order-free).
 
-Each partition runs two Ray executions on this path:
+Partitions run in EPOCHS of ``overlap`` consecutive pids
+(stages/manifest.py:_run_neardup_epochs), in three phases:
 
-  1. one budgeted MinHash → band-explode pass collects the
-     partition's ``(bucket, key)`` rows to the driver
-     (``dedup.collect_band_rows``); the same rows feed the probe, the
-     within-partition scan (numpy, driver-side) and the append;
-  2. one semi-join over the pruned index (``dedup.lsh_index_semijoin``):
-     a Dataset of the index FILE PATHS whose tasks each read their
-     own files with pyarrow, match them against the broadcast sorted
-     new buckets and return only their distinct colliding new keys;
-     the driver takes the union — no shuffle, no pair Dataset.
+  1. concurrent prepare: each partition's extract → materialize → one
+     budgeted MinHash → band-explode pass collects its ``(bucket,
+     key)`` rows to the job process (``dedup.collect_band_rows``); the
+     same rows feed the probe, the within-partition scan and the
+     append;
+  2. one in-process resolve (``resolve_epoch``): ONE scan over the
+     pruned index for the union of the epoch's buckets
+     (``dedup.lsh_index_bucket_hits``: a Dataset of the index FILE
+     PATHS whose tasks read their own files with pyarrow and return
+     the colliding index rows, at most two keys per bucket — no
+     shuffle), then each partition in ascending pid order is resolved
+     against that snapshot plus its earlier epoch-mates' survivors and
+     appends its own survivors;
+  3. concurrent finish: mark → write → rename; the manifests are then
+     written in ascending pid order.
 
-The manifest's ``neardup`` record times the three steps (``hash_s``,
-``probe_s``, ``append_s``) next to ``index_parts_read``.
+The manifest's ``neardup`` record times the steps (``hash_s`` and
+``append_s`` per partition; ``probe_s`` = the epoch's shared scan plus
+the partition's own resolve) next to ``index_parts_read`` (of the
+shared scan) and ``epoch_pids``, the pids that shared one snapshot.
 
 The stage is append-only on the data path (a ``neardup_keep`` bool
 column, preserving the job CLI's rows == inputs manifest invariant —
 the same contract as ``--clean``) and exactly-once on the index path:
 
   * partition appends are DETERMINISTICALLY NAMED
-    (``part-<pid>.parquet`` inside each ``bucket_part=`` dir), so a
-    partition that crashed after appending but before its manifest
+    (``part-<tag><pid>.parquet`` inside each ``bucket_part=`` dir), so
+    a partition that crashed after appending but before its manifest
     wrote is wiped (``clean_partition_files``) and re-appended
     byte-identically on resume — the probe never sees the partition's
     own half-written rows;
@@ -46,9 +55,14 @@ the same contract as ``--clean``) and exactly-once on the index path:
     plan.json config-pinning convention) — probing with different
     num_perm/bands/seed would silently miss every duplicate.
 
-Partition order is the determinism boundary: partition P's probe must
-see partitions 0..P-1's appends, so run_partitioned forces
-``overlap=1`` when this stage is active.
+Partition order is the determinism boundary: partition P's drops must
+equal those of a probe that sees partitions 0..P-1's appends. Inside an
+epoch, ``resolve_epoch`` gets there without re-scanning (a key that
+collides only with a DROPPED epoch-mate survives, since a dropped doc
+is never appended), so ``neardup_keep`` is identical for every epoch
+size. Every incomplete pid's appends are cleaned before the first
+scan, so a crash mid-epoch under a wide epoch cannot leave a later
+pid's rows in a narrower resume's snapshot.
 """
 
 from __future__ import annotations
@@ -153,75 +167,107 @@ def append_partition_to_index(band_rows: pa.Table, index_dir: str,
     return written
 
 
+def partition_band_rows(docs_ds, cfg: dict,
+                        budget_rows: int = 4_000_000) -> pa.Table:
+    """A partition's ``(bucket, key)`` rows under the index's pinned
+    MinHash/LSH parameters (``dedup.collect_band_rows``, budgeted)."""
+    from zhtml_ray.functions.dedup import collect_band_rows
+
+    return collect_band_rows(
+        docs_ds, key=cfg["key"], col=cfg["col"], num_perm=cfg["num_perm"],
+        bands=cfg["bands"], shingle_k=cfg["shingle_k"], seed=cfg["seed"],
+        budget_rows=budget_rows)
+
+
+def resolve_epoch(index_dir: str, cfg: dict, parts: list,
+                  tag: str = "") -> list:
+    """Drop sets of an epoch of partitions that share ONE index scan,
+    equal to running them one after the other in ascending pid order.
+
+    ``parts``: ``[(pid, band_rows), ...]`` in ascending pid order. One
+    ``lsh_index_bucket_hits`` scan over the union of their buckets
+    reads the index as it stands (the epoch's snapshot). Partition P
+    then drops a key that collides (self-match excluded) with the
+    snapshot or with the band rows of an earlier epoch-mate's
+    SURVIVORS — what P's own probe would have found after those
+    appends — plus the within-partition rule; P's survivors are
+    appended before the next partition resolves. Returns
+    ``[(drop_keys, stats), ...]`` in ``parts`` order, ``drop_keys`` an
+    Arrow array of distinct keys. ``probe_s`` is the shared scan's time
+    plus P's own resolve; ``index_parts_read`` is the shared scan's."""
+    from time import perf_counter
+
+    import pyarrow.compute as pc
+
+    from zhtml_ray.functions.dedup import (_collide, first_of_run,
+                                           lsh_index_bucket_hits,
+                                           two_keys_per_bucket)
+
+    key = cfg["key"]
+    t0 = perf_counter()
+    scan_stats: dict = {}
+    seen = lsh_index_bucket_hits(
+        index_dir, pa.concat_tables([br for _, br in parts]), key=key,
+        n_parts=cfg["n_parts"], scan_stats=scan_stats)
+    scan_s = perf_counter() - t0
+    out = []
+    for pid, band_rows in parts:
+        t1 = perf_counter()
+        srt = band_rows.sort_by([("bucket", "ascending"),
+                                 (key, "ascending")])
+        bk = srt["bucket"].to_numpy(zero_copy_only=False)
+        keys = srt[key].combine_chunks()
+        index_drops = pc.unique(_collide(bk, keys, seen, key)[0])
+        # within-partition: the smallest key of each bucket run survives
+        # (pairwise-canonical), every other key of the run drops
+        within = keys.filter(pc.not_equal(
+            keys, keys.take(pa.array(first_of_run(bk), pa.int64()))))
+        drop_keys = pc.unique(pa.concat_arrays([index_drops, within]))
+        survivors = band_rows.filter(pc.invert(
+            pc.is_in(band_rows[key], value_set=drop_keys)))
+        seen = two_keys_per_bucket(pa.concat_tables([seen, survivors]),
+                                   key)
+        t2 = perf_counter()
+        files_written = append_partition_to_index(survivors, index_dir,
+                                                  pid, cfg, tag)
+        t3 = perf_counter()
+        n_docs = len(pc.unique(keys))
+        out.append((drop_keys, {
+            "index_dir": index_dir,
+            "probed": n_docs,
+            "dropped_index": len(index_drops),
+            "dropped_within": len(drop_keys) - len(index_drops),
+            "appended": n_docs - len(drop_keys),
+            "index_parts_read": scan_stats.get("n_parts_read", 0),
+            "probe_s": round(scan_s + t2 - t1, 3),
+            "append_s": round(t3 - t2, 3),
+            "index_files_written": files_written,
+            "epoch_pids": [p for p, _ in parts],
+        }))
+    return out
+
+
 def partition_neardup(docs_ds, index_dir: str, pid: int,
                       cfg: dict | None = None,
                       budget_rows: int = 4_000_000,
                       tag: str = ""):
-    """The per-partition hash → probe → mark → append lifecycle.
+    """The per-partition hash → probe → mark → append lifecycle: the
+    one-partition epoch of ``resolve_epoch``.
 
     ``docs_ds``: the partition's extracted docs (must contain
     ``cfg[key]`` and ``cfg[col]``; pass a column-pruned dataset).
     Returns ``(drop_keys, stats)`` where ``drop_keys`` is the set of
     keys marked near-duplicate and ``stats`` the manifest record.
-    Caller sequencing contract: partitions run in ascending pid order
-    (run_partitioned forces overlap=1)."""
+    Caller sequencing contract: partitions run in ascending pid order,
+    each after the previous one's append."""
     from time import perf_counter
 
-    from zhtml_ray.functions.dedup import (collect_band_rows,
-                                           lsh_index_semijoin)
-
     cfg = cfg or pin_lsh_config(index_dir)
-    key = cfg["key"]
     cleaned = clean_partition_files(index_dir, pid, tag)
     t0 = perf_counter()
-    band_rows = collect_band_rows(
-        docs_ds, key=key, col=cfg["col"], num_perm=cfg["num_perm"],
-        bands=cfg["bands"], shingle_k=cfg["shingle_k"],
-        seed=cfg["seed"], budget_rows=budget_rows)
-    t1 = perf_counter()
-    scan_stats: dict = {}
-    index_drops = lsh_index_semijoin(index_dir, band_rows, key=key,
-                                     n_parts=cfg["n_parts"],
-                                     scan_stats=scan_stats)
-    t2 = perf_counter()
-
-    # within-partition: the same band rows serve the pair scan (numpy,
-    # driver-side — the partition is the budgeted small side by
-    # contract) and, post-filter, the index append
-    keys = np.asarray(band_rows[key].to_pylist(), object)
-    bk = band_rows["bucket"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((keys, bk))
-    bk, keys = bk[order], keys[order]
-    within_drops: set = set()
-    run_start = 0
-    for i in range(1, len(bk) + 1):
-        if i == len(bk) or bk[i] != bk[run_start]:
-            if i - run_start > 1:
-                seen = keys[run_start]
-                for k in keys[run_start + 1:i]:
-                    if k != seen:
-                        within_drops.add(k)  # smaller key survives
-            run_start = i
-    drop_keys = index_drops | within_drops
-
-    survivors = band_rows if not drop_keys else band_rows.filter(
-        pa.array([k not in drop_keys for k in band_rows[key].to_pylist()]))
-    t3 = perf_counter()
-    files_written = append_partition_to_index(survivors, index_dir,
-                                              pid, cfg, tag)
-    t4 = perf_counter()
-    n_docs = len(set(keys.tolist()))
-    stats = {
-        "index_dir": index_dir,
-        "probed": n_docs,
-        "dropped_index": len(index_drops),
-        "dropped_within": len(within_drops - index_drops),
-        "appended": n_docs - len(drop_keys),
-        "index_parts_read": scan_stats.get("n_parts_read", 0),
-        "hash_s": round(t1 - t0, 3),
-        "probe_s": round(t2 - t1, 3),
-        "append_s": round(t4 - t3, 3),
-        "index_files_written": files_written,
-        "stale_files_cleaned": cleaned,
-    }
-    return drop_keys, stats
+    band_rows = partition_band_rows(docs_ds, cfg, budget_rows)
+    hash_s = round(perf_counter() - t0, 3)
+    [(drop_keys, stats)] = resolve_epoch(index_dir, cfg,
+                                         [(pid, band_rows)], tag)
+    stats.update(hash_s=hash_s, stale_files_cleaned=cleaned)
+    return set(drop_keys.to_pylist()), stats
