@@ -1106,7 +1106,9 @@ def test_lsh_index_probe_prunes_and_recalls(ray_session, tmp_path):
     """At-rest incremental LSH (r4): a tiny new shard must open only
     its own buckets' partitions (the incremental economics) and still
     surface every planted near-duplicate as a candidate pair with
-    roles preserved (key_a = new side)."""
+    roles preserved (key_a = new side). The index is built with
+    non-default parameters and probed with none: the probe takes the
+    pinned ones (with the defaults it would find nothing)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -1118,14 +1120,14 @@ def test_lsh_index_probe_prunes_and_recalls(ray_session, tmp_path):
                      "text": pa.array(base_texts)})
     idx = str(tmp_path / "lsh")
     build_lsh_index(rd.from_arrow(base).repartition(4), idx,
-                    n_parts=256)
+                    n_parts=256, bands=16, seed=7)
 
     new = pa.table({
         "doc_id": pa.array([1000, 1001], pa.int64()),
         "text": pa.array([base_texts[17],       # exact twin of 17
                           "completely different content entirely"])})
     stats: dict = {}
-    pairs = lsh_index_probe(idx, rd.from_arrow(new), n_parts=256,
+    pairs = lsh_index_probe(idx, rd.from_arrow(new),
                             scan_stats=stats).take_all()
     assert stats["n_parts_read"] < stats["n_parts_total"], stats
     got = {(r["key_a"], r["key_b"]) for r in pairs}
@@ -1297,9 +1299,10 @@ def test_lsh_index_compaction_keeps_pinned_modulus(ray_session,
 def test_lsh_index_compaction_crash_between_renames(ray_session, tmp_path,
                                                     monkeypatch):
     """A crash between compaction's two renames leaves the index only
-    in ``<index>.compact.old``: the job's config pin and the next
-    compaction restore it (never bootstrap an empty index), and
-    leftovers that cannot be told apart refuse loudly."""
+    in ``<index>.compact.old``: the job's config pin, the next
+    compaction, a probe and an append each restore it (never bootstrap
+    or read an empty index) and then behave as on the intact index,
+    and leftovers that cannot be told apart refuse loudly."""
     import os
     import shutil
 
@@ -1325,9 +1328,12 @@ def test_lsh_index_compaction_crash_between_renames(ray_session, tmp_path,
                       "text": pa.array([base["text"][3].as_py(),
                                         "nothing like the base docs"])})
 
-    def pairs():
+    def pairs(d=idx):
         return {(r["key_a"], r["key_b"]) for r in
-                lsh_index_probe(idx, rd.from_arrow(probe)).take_all()}
+                lsh_index_probe(d, rd.from_arrow(probe)).take_all()}
+
+    def append_again(d):
+        append_lsh_index(rd.from_arrow(base.slice(0, 5)), d)
 
     before = pairs()
     assert (100, 3) in before
@@ -1338,14 +1344,17 @@ def test_lsh_index_compaction_crash_between_renames(ray_session, tmp_path,
             raise OSError("simulated crash between renames")
         return real_replace(src, dst)
 
-    for recover in (pin_lsh_config, compact_lsh_index):
+    for recover in (pin_lsh_config, compact_lsh_index, pairs,
+                    append_again):
         monkeypatch.setattr(os, "replace", crash_second_rename)
         with pytest.raises(OSError, match="simulated crash"):
             compact_lsh_index(idx)
         monkeypatch.setattr(os, "replace", real_replace)
         assert not os.path.exists(idx)
         assert os.path.isdir(old) and os.path.isdir(tmp)
-        recover(idx)
+        got = recover(idx)
+        if recover is pairs:  # the restoring probe sees the whole index
+            assert got == before
         assert not os.path.exists(old) and not os.path.exists(tmp)
         # the restored index's own config, not a fresh default pin
         assert pin_lsh_config(idx)["key"] == "doc_id"
@@ -1371,8 +1380,9 @@ def test_lsh_index_compaction_crash_between_renames(ray_session, tmp_path,
     assert not os.path.exists(idx)
 
 
-def test_lsh_index_semijoin_matches_probe(ray_session, tmp_path):
-    """The job's semi-join drop set equals the distinct ``key_a`` of
+def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path):
+    """The job's drop set — ``_collide`` of the band rows against
+    ``lsh_index_bucket_hits`` — equals the distinct ``key_a`` of
     ``lsh_index_probe`` on a fragmented index (several append files per
     bucket_part), including a new doc whose key is already indexed
     (self-matches never drop), an empty index, and a shard whose
@@ -1384,27 +1394,29 @@ def test_lsh_index_semijoin_matches_probe(ray_session, tmp_path):
     import ray.data as rd
 
     from zhtml_ray.functions.dedup import (_cached_lsh_explode,
-                                           _cached_minhash,
+                                           _cached_minhash, _collide,
                                            collect_band_rows,
-                                           lsh_index_probe,
-                                           lsh_index_semijoin)
+                                           lsh_index_bucket_hits,
+                                           lsh_index_probe)
     from zhtml_ray.stages.neardup import (append_partition_to_index,
                                           pin_lsh_config)
 
     def docs(urls, texts):
         return pa.table({"url": pa.array(urls), "text": pa.array(texts)})
 
-    def both(idx, t, n_parts):
-        band = collect_band_rows(rd.from_arrow(t), key="url", col="text")
-        st_semi, st_probe = {}, {}
-        semi = lsh_index_semijoin(idx, band, key="url", n_parts=n_parts,
-                                  scan_stats=st_semi)
+    def both(idx, t):
+        band = collect_band_rows(rd.from_arrow(t), pin_lsh_config(idx)) \
+            .sort_by("bucket")
+        st_hits, st_probe = {}, {}
+        hits = lsh_index_bucket_hits(idx, band, st_hits)
+        semi = set(_collide(band["bucket"].to_numpy(),
+                            band["url"].combine_chunks(), hits,
+                            "url")[0].to_pylist())
         probe = {r["key_a"] for r in lsh_index_probe(
-            idx, rd.from_arrow(t), key="url", col="text",
-            n_parts=n_parts, scan_stats=st_probe).take_all()}
-        assert st_semi == st_probe
+            idx, rd.from_arrow(t), scan_stats=st_probe).take_all()}
+        assert st_hits == st_probe
         assert semi == probe
-        return semi, st_semi
+        return semi, st_hits
 
     texts = [" ".join(f"page{i} word{j}" for j in range(10))
              for i in range(12)]
@@ -1413,7 +1425,7 @@ def test_lsh_index_semijoin_matches_probe(ray_session, tmp_path):
     for pid in range(4):  # four partitions' appends: fragmented parts
         urls = [f"http://old/{i}" for i in range(pid * 3, pid * 3 + 3)]
         t = docs(urls, texts[pid * 3:pid * 3 + 3])
-        band = collect_band_rows(rd.from_arrow(t), key="url", col="text")
+        band = collect_band_rows(rd.from_arrow(t), cfg)
         append_partition_to_index(band, idx, pid, cfg)
     assert max(len(glob.glob(d + "/*.parquet"))
                for d in glob.glob(idx + "/bucket_part=*")) > 1
@@ -1424,12 +1436,12 @@ def test_lsh_index_semijoin_matches_probe(ray_session, tmp_path):
                 "http://new/b"],     # unique: keep
                [texts[4], texts[7], texts[9],
                 "an entirely unrelated page about nothing in particular"])
-    semi, _ = both(idx, new, 8)
+    semi, _ = both(idx, new)
     assert semi == {"http://old/5", "http://new/a"}
 
     empty_idx = str(tmp_path / "empty")
     pin_lsh_config(empty_idx, {"key": "url", "col": "text"})
-    semi, st = both(empty_idx, new, 64)
+    semi, st = both(empty_idx, new)
     assert semi == set() and st["n_parts_total"] == 0
 
     # one doc in 4096 parts: find a shard whose 32 buckets all miss
@@ -1438,9 +1450,8 @@ def test_lsh_index_semijoin_matches_probe(ray_session, tmp_path):
     scfg = pin_lsh_config(sparse, {"key": "url", "col": "text",
                                    "n_parts": 4096})
     one = docs(["http://old/0"], texts[:1])
-    append_partition_to_index(
-        collect_band_rows(rd.from_arrow(one), key="url", col="text"),
-        sparse, 0, scfg)
+    append_partition_to_index(collect_band_rows(rd.from_arrow(one), scfg),
+                              sparse, 0, scfg)
     populated = {int(d.rsplit("=", 1)[1])
                  for d in glob.glob(os.path.join(sparse, "bucket_part=*"))}
     explode = _cached_lsh_explode("url", 32, 128)
@@ -1451,29 +1462,81 @@ def test_lsh_index_semijoin_matches_probe(ray_session, tmp_path):
                      % 4096).tolist())
         if not parts & populated:
             break
-    semi, st = both(sparse, miss, 4096)
+    semi, st = both(sparse, miss)
     assert semi == set() and st["n_parts_read"] == 0
 
 
 def test_lsh_index_config_pinned_by_builders(ray_session, tmp_path):
-    """build_lsh_index pins _lsh_config.json; append_lsh_index with
-    different parameters refuses (mismatched params would silently
-    pass every duplicate)."""
+    """build_lsh_index pins _lsh_config.json, and an append after it
+    takes the pinned parameters: a twin appended under another key
+    lands in exactly the bands × buckets the build wrote for its
+    original (mismatched parameters would silently pass every
+    duplicate)."""
+    import glob
     import json
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from zhtml_ray.functions.dedup import append_lsh_index, build_lsh_index
+
+    text = "alpha beta gamma delta epsilon zeta eta theta words"
+    idx = str(tmp_path / "lsh")
+    build_lsh_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array([1], pa.int64()),
+        "text": pa.array([text])})), idx, n_parts=256, bands=16, seed=7)
+    cfg = json.load(open(os.path.join(idx, "_lsh_config.json")))
+    assert cfg == {"key": "doc_id", "col": "text", "n_parts": 256,
+                   "num_perm": 128, "bands": 16, "shingle_k": 3,
+                   "seed": 7}
+    append_lsh_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array([2], pa.int64()),
+        "text": pa.array([text])})), idx)
+    rows: dict = {1: set(), 2: set()}
+    for f in glob.glob(os.path.join(idx, "bucket_part=*", "*.parquet")):
+        part = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+        t = pq.read_table(f, columns=["bucket", "doc_id"])
+        for b, k in zip(t["bucket"].to_pylist(), t["doc_id"].to_pylist()):
+            assert b % 256 == part
+            rows[k].add(b)
+    assert len(rows[1]) == 16 and rows[2] == rows[1]
+
+
+def test_lsh_index_readers_refuse_unpinned_dir(ray_session, tmp_path):
+    """A directory without _lsh_config.json — missing, or an index
+    written before parameters were pinned — is refused loudly by every
+    reader and appender instead of reading as an empty index (which
+    would silently pass every duplicate)."""
     import os
 
     import pyarrow as pa
     import pytest
     import ray.data as rd
 
-    from zhtml_ray.functions.dedup import append_lsh_index, build_lsh_index
+    from zhtml_ray.functions.dedup import (append_lsh_index,
+                                           build_lsh_index,
+                                           compact_lsh_index,
+                                           lsh_index_bucket_hits,
+                                           lsh_index_probe)
 
-    t = pa.table({"doc_id": pa.array([1], pa.int64()),
-                  "text": pa.array(["alpha beta gamma delta words"])})
-    idx = str(tmp_path / "lsh")
-    build_lsh_index(rd.from_arrow(t), idx, bands=32)
-    cfg = json.load(open(os.path.join(idx, "_lsh_config.json")))
-    assert cfg["bands"] == 32 and cfg["key"] == "doc_id"
-    with pytest.raises(ValueError, match="own parameters"):
-        append_lsh_index(rd.from_arrow(t), idx, bands=16, num_perm=128)
-    append_lsh_index(rd.from_arrow(t), idx, bands=32)  # matching: ok
+    docs = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                     "text": pa.array(["alpha beta gamma delta words",
+                                       "alpha beta gamma delta words"])})
+    band = pa.table({"bucket": pa.array([1, 2], pa.int64()),
+                     "doc_id": pa.array([1, 2], pa.int64())})
+    unpinned = str(tmp_path / "unpinned")
+    build_lsh_index(rd.from_arrow(docs.slice(0, 1)), unpinned)
+    os.remove(os.path.join(unpinned, "_lsh_config.json"))
+    missing = str(tmp_path / "missing")
+    for d in (missing, unpinned):
+        with pytest.raises(ValueError, match="no LSH index config"):
+            lsh_index_probe(d, rd.from_arrow(docs.slice(1)))
+        with pytest.raises(ValueError, match="no LSH index config"):
+            lsh_index_bucket_hits(d, band)
+        with pytest.raises(ValueError, match="no LSH index config"):
+            append_lsh_index(rd.from_arrow(docs), d)
+        with pytest.raises(ValueError, match="no LSH index config"):
+            compact_lsh_index(d)
+    assert not os.path.exists(missing)

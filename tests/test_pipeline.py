@@ -21,11 +21,10 @@ def _golden_map():
                     golden["extracted_text"].to_pylist()))
 
 
-@pytest.mark.parametrize("batch_size,concurrency", [(64, None), (7, 2)])
-def test_distributed_matches_golden(pages_ds, batch_size, concurrency):
+@pytest.mark.parametrize("batch_size", [64, 7])
+def test_distributed_matches_golden(pages_ds, batch_size):
     from zhtml_ray.pipelines.extract import extract_pages
-    ds = extract_pages(pages_ds, batch_size=batch_size,
-                       concurrency=concurrency)
+    ds = extract_pages(pages_ds, batch_size=batch_size)
     rows = ds.take_all()
     assert len(rows) == 500
     gold = _golden_map()

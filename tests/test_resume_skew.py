@@ -623,13 +623,13 @@ def test_neardup_epoch_matches_semijoin_reference(ray_session, tmp_path):
     """Random band rows over a small bucket space (dense collisions,
     urls repeated across partitions and against the index): every epoch
     split resolves to the drop sets of the one-partition-at-a-time
-    reference — semi-join probe, within-partition smallest-key rule,
-    append of the survivors."""
+    reference — a brute-force semi-join over every indexed row, the
+    within-partition smallest-key rule, append of the survivors."""
     import shutil
 
     import numpy as np
     import pyarrow as pa
-    from zhtml_ray.functions.dedup import lsh_index_semijoin
+    import pyarrow.parquet as pq
     from zhtml_ray.stages.neardup import (append_partition_to_index,
                                           pin_lsh_config, resolve_epoch)
 
@@ -646,13 +646,24 @@ def test_neardup_epoch_matches_semijoin_reference(ray_session, tmp_path):
     parts = [(pid, rows(int(rng.integers(0, 30)), 40))
              for pid in range(6)]
 
+    def indexed_urls(idx) -> dict:
+        # every file of the index, whatever its bucket_part: bucket -> urls
+        out: dict = {}
+        for f in glob.glob(os.path.join(idx, "bucket_part=*", "*.parquet")):
+            t = pq.read_table(f, columns=["bucket", "url"])
+            for b, u in zip(t["bucket"].to_pylist(), t["url"].to_pylist()):
+                out.setdefault(b, set()).add(u)
+        return out
+
     def reference(idx):
         out = []
         for pid, band in parts:
-            drops = lsh_index_semijoin(idx, band, key="url", n_parts=8)
+            indexed = indexed_urls(idx)
+            pairs = list(zip(band["bucket"].to_pylist(),
+                             band["url"].to_pylist()))
+            drops = {u for b, u in pairs if indexed.get(b, set()) - {u}}
             by_bucket: dict = {}
-            for b, u in zip(band["bucket"].to_pylist(),
-                            band["url"].to_pylist()):
+            for b, u in pairs:
                 by_bucket.setdefault(b, set()).add(u)
             for us in by_bucket.values():
                 drops |= us - {min(us)}

@@ -46,7 +46,7 @@ def pages_dir_for(sf_dir: str, mega_docs: int = 0, seed: int = 42) -> str:
 
 
 def extract_pages(ds, include_spans: bool = True, batch_size: int | None = None,
-                  concurrency=None, num_cpus: float = 1.0, thresholds=None):
+                  thresholds=None):
     """pages Dataset → extraction Dataset (the core map_batches stage).
 
     ``batch_size=None`` (default) = block-as-batch: read-output blocks
@@ -54,24 +54,17 @@ def extract_pages(ds, include_spans: bool = True, batch_size: int | None = None,
     each block becomes exactly one task with no slice/coalesce overhead
     — measured 1.5× faster than batch_size=64 on the sf0.1 fixture and
     the lever that isolates giant docs (stages/skew.py). Pass an int to
-    re-batch when feeding from unbounded in-memory blocks.
-    ``concurrency=None`` uses stateless tasks (one per block) — the
-    kernel's warm state is module-level, so tasks are as warm as actors
-    after first touch and autoscale better; pass an int/(min,max) to pin
-    an actor pool instead.
+    re-batch when feeding from unbounded in-memory blocks. The map runs
+    as stateless tasks (one per block): the kernel's warm state is
+    module-level, so tasks are as warm as actors after first touch and
+    autoscale better.
     """
     from zhtml_ray.stages.parse_extract import ParseExtractBatch
 
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size,
-                  num_cpus=num_cpus)
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-        return ds.map_batches(ParseExtractBatch, fn_constructor_kwargs={
-            "include_spans": include_spans,
-            "thresholds": thresholds}, **kwargs)
     return ds.map_batches(ParseExtractBatch(include_spans=include_spans,
                                             thresholds=thresholds),
-                          **kwargs)
+                          batch_format="pyarrow", batch_size=batch_size,
+                          num_cpus=1.0)
 
 
 def run_extract(sf_dir: str, include_spans: bool = True, **knobs):

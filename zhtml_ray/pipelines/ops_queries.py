@@ -5097,10 +5097,12 @@ def q_incremental_neardup(sf_dir: str, threshold: float = 0.8):
     cover): the base corpus (doc_id%4 != 0) is MinHash-banded ONCE
     into a Hive-partitioned bucket index
     (functions/dedup.py:build_lsh_index); the new shard (doc_id%4==0)
-    probes ONLY the partitions its own buckets hash into, collides
-    in-memory against its broadcast bucket→keys map, and exact-Jaccard
-    verifies the candidates. The base corpus is never re-read beyond
-    the pruned partitions + pair-verify texts. Oracled ALGORITHM-
+    is hashed once under the index's pinned parameters, and
+    lsh_index_probe fans the FILE LIST of ONLY the partitions its own
+    buckets hash into out as tasks that each read their files and
+    collide them against the broadcast sorted new buckets; the
+    candidates are then exact-Jaccard verified. The base corpus is
+    never re-read beyond the pruned partitions + pair-verify texts. Oracled ALGORITHM-
     INDEPENDENTLY: serial brute-force Jaccard over every (new, base)
     pair — recall AND precision of the at-rest probe."""
     import os

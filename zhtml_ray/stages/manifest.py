@@ -139,11 +139,11 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
         # materialize: the extraction is consumed twice (hash + final
         # write) and must not re-parse — partitions are the bounded
         # unit (group_size shards), so blocks fit the object store.
-        from zhtml_ray.stages.neardup import partition_band_rows
+        from zhtml_ray.functions.dedup import collect_band_rows
         out = prep["out"] = out.materialize()
         key = prep["neardup_key"] = nd_cfg["key"]
         t1 = time.perf_counter()
-        prep["band_rows"] = partition_band_rows(out.map_batches(
+        prep["band_rows"] = collect_band_rows(out.map_batches(
             lambda b, _c=(key, nd_cfg["col"]): b.select(list(_c)),
             batch_format="pyarrow"), nd_cfg)
         prep["hash_s"] = round(time.perf_counter() - t1, 3)
@@ -294,10 +294,10 @@ def run_partitioned(input_files: list[str], out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     extract_kwargs = extract_kwargs or {}
     # canonical tag of the SEMANTIC extraction config only, resolved
-    # against defaults: perf knobs (batch_size, concurrency, num_cpus)
-    # cannot change output bytes and must not refuse a legitimate
-    # recovery resume (e.g. rerun with a smaller batch size after an
-    # OOM); explicit-default vs absent must compare equal (r3 review)
+    # against defaults: the perf knob (batch_size) cannot change
+    # output bytes and must not refuse a legitimate recovery resume
+    # (e.g. rerun with a smaller batch size after an OOM);
+    # explicit-default vs absent must compare equal (r3 review)
     neardup_index = extract_kwargs.get("neardup_index", None)
     if neardup_index:
         # overlap = epoch size: partition P's drops still equal a

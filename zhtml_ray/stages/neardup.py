@@ -51,8 +51,10 @@ the same contract as ``--clean``) and exactly-once on the index path:
     byte-identically on resume — the probe never sees the partition's
     own half-written rows;
   * index parameters are pinned in ``<index>/_lsh_config.json`` on
-    first touch and verified on every later partition/resume (the
-    plan.json config-pinning convention) — probing with different
+    first touch (``pin_lsh_config``; the plan.json config-pinning
+    convention), and every index reader and writer in
+    functions/dedup.py takes them from that file, never from its
+    caller (``dedup.lsh_index_config``) — probing with different
     num_perm/bands/seed would silently miss every duplicate.
 
 Partition order is the determinism boundary: partition P's drops must
@@ -68,7 +70,6 @@ pid's rows in a narrower resume's snapshot.
 from __future__ import annotations
 
 import glob
-import json
 import os
 
 import numpy as np
@@ -87,35 +88,16 @@ DEFAULT_LSH_CONFIG = {
 
 
 def pin_lsh_config(index_dir: str, overrides: dict | None = None) -> dict:
-    """Load ``<index>/_lsh_config.json`` (verifying any overrides
-    against it) or pin defaults+overrides on first touch. A mismatch
-    fails loudly: an index probed with the wrong parameters finds
-    nothing and silently lets every duplicate through. A compaction
-    that crashed mid-swap is restored (or refused) first, so a missing
-    index dir beside its ``.compact.old`` is never bootstrapped
+    """The job's index parameters: those pinned in
+    ``<index>/_lsh_config.json`` (verifying any ``overrides`` against
+    them), or ``DEFAULT_LSH_CONFIG`` updated by ``overrides`` pinned on
+    first touch (``dedup.lsh_index_config``). A mismatched override
+    fails loudly, and a compaction that crashed mid-swap is restored
+    (or refused) first, so a stranded index is never bootstrapped
     empty."""
-    from zhtml_ray.functions.dedup import recover_interrupted_compaction
+    from zhtml_ray.functions.dedup import lsh_index_config
 
-    recover_interrupted_compaction(index_dir)
-    os.makedirs(index_dir, exist_ok=True)
-    cfg = dict(DEFAULT_LSH_CONFIG, **(overrides or {}))
-    path = os.path.join(index_dir, "_lsh_config.json")
-    if os.path.exists(path):
-        with open(path) as f:
-            stored = json.load(f)
-        diff = {k for k in cfg if stored.get(k) != cfg[k]}
-        if overrides and diff & set(overrides):
-            raise ValueError(
-                f"LSH index at {index_dir} was built with "
-                f"{ {k: stored.get(k) for k in sorted(diff)} }, not "
-                f"{ {k: cfg[k] for k in sorted(diff)} }; an index is "
-                "only probeable with its own parameters")
-        return stored
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(cfg, f)
-    os.replace(tmp, path)
-    return cfg
+    return lsh_index_config(index_dir, DEFAULT_LSH_CONFIG, overrides)
 
 
 def job_tag(out_dir: str) -> str:
@@ -152,31 +134,20 @@ def append_partition_to_index(band_rows: pa.Table, index_dir: str,
     deterministic per-partition file names (atomic tmp+rename per
     bucket_part) — rerunnable after clean_partition_files. Returns the
     number of bucket_part files written."""
-    key = cfg["key"]
-    part = np.mod(band_rows["bucket"].to_numpy(zero_copy_only=False),
-                  cfg["n_parts"])
+    from zhtml_ray.functions.dedup import with_bucket_part
+
+    t = with_bucket_part(band_rows, cfg["key"], cfg["n_parts"])
+    part = t["bucket_part"].to_numpy()
     written = 0
     for v in np.unique(part):
-        sub = band_rows.filter(pa.array(part == v))
+        sub = t.filter(pa.array(part == v)).drop_columns(["bucket_part"])
         d = os.path.join(index_dir, f"bucket_part={int(v)}")
         os.makedirs(d, exist_ok=True)
         final = os.path.join(d, f"part-{tag}{pid:06d}.parquet")
-        pq.write_table(sub.select(["bucket", key]), final + ".tmp")
+        pq.write_table(sub, final + ".tmp")
         os.replace(final + ".tmp", final)
         written += 1
     return written
-
-
-def partition_band_rows(docs_ds, cfg: dict,
-                        budget_rows: int = 4_000_000) -> pa.Table:
-    """A partition's ``(bucket, key)`` rows under the index's pinned
-    MinHash/LSH parameters (``dedup.collect_band_rows``, budgeted)."""
-    from zhtml_ray.functions.dedup import collect_band_rows
-
-    return collect_band_rows(
-        docs_ds, key=cfg["key"], col=cfg["col"], num_perm=cfg["num_perm"],
-        bands=cfg["bands"], shingle_k=cfg["shingle_k"], seed=cfg["seed"],
-        budget_rows=budget_rows)
 
 
 def resolve_epoch(index_dir: str, cfg: dict, parts: list,
@@ -207,8 +178,7 @@ def resolve_epoch(index_dir: str, cfg: dict, parts: list,
     t0 = perf_counter()
     scan_stats: dict = {}
     seen = lsh_index_bucket_hits(
-        index_dir, pa.concat_tables([br for _, br in parts]), key=key,
-        n_parts=cfg["n_parts"], scan_stats=scan_stats)
+        index_dir, pa.concat_tables([br for _, br in parts]), scan_stats)
     scan_s = perf_counter() - t0
     out = []
     for pid, band_rows in parts:
@@ -262,10 +232,12 @@ def partition_neardup(docs_ds, index_dir: str, pid: int,
     each after the previous one's append."""
     from time import perf_counter
 
+    from zhtml_ray.functions.dedup import collect_band_rows
+
     cfg = cfg or pin_lsh_config(index_dir)
     cleaned = clean_partition_files(index_dir, pid, tag)
     t0 = perf_counter()
-    band_rows = partition_band_rows(docs_ds, cfg, budget_rows)
+    band_rows = collect_band_rows(docs_ds, cfg, budget_rows)
     hash_s = round(perf_counter() - t0, 3)
     [(drop_keys, stats)] = resolve_epoch(index_dir, cfg,
                                          [(pid, band_rows)], tag)

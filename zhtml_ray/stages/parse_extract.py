@@ -49,9 +49,9 @@ OUT_SCHEMA = pa.schema([
 
 
 class ParseExtractBatch:
-    """Callable class → Ray actor pool via
-    ``ds.map_batches(ParseExtractBatch, batch_format="pyarrow",
-    concurrency=N, batch_size=B)``.
+    """Callable instance → stateless Ray task-pool map via
+    ``ds.map_batches(ParseExtractBatch(...), batch_format="pyarrow",
+    batch_size=B)`` (pipelines/extract.py:extract_pages).
 
     ``include_spans=False`` drops the spans column (cheaper output when a
     downstream stage only needs text). ``passthrough`` lists input columns
@@ -61,7 +61,7 @@ class ParseExtractBatch:
                  passthrough: tuple[str, ...] = ("lang",),
                  thresholds=None):
         """``thresholds``: optional `html.extract.ExtractThresholds` —
-        per-actor extraction config delivered via fn_constructor_kwargs
+        extraction config shipped to the tasks with the instance
         (SURVEY.md §2.3 ST6). None = the pinned oracle defaults."""
         self.include_spans = include_spans
         self.passthrough = passthrough
