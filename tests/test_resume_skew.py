@@ -115,6 +115,26 @@ def test_job_cli_resume_flow(shards, ray_session, tmp_path, capsys):
     assert ray.is_initialized()  # CLI must not kill the caller's session
 
 
+@pytest.mark.parametrize("group_size", [-1, 0])
+def test_group_size_below_one_is_refused(shards, tmp_path, capsys,
+                                         group_size):
+    """A group size < 1 plans no partitions (or crashes in range()):
+    the job must refuse it loudly, not report an empty run complete."""
+    from zhtml_ray.job import main
+    from zhtml_ray.stages.manifest import run_partitioned
+
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="group_size"):
+        run_partitioned(shards, str(out), group_size=group_size)
+    assert not (out / "_manifests" / "plan.json").exists()
+
+    rc = main(["--input", shards[0].rsplit("/", 1)[0], "--output",
+               str(tmp_path / "cli"), "--group-size", str(group_size)])
+    assert rc == 2
+    assert "--group-size" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
 def test_giant_document_completes(ray_session):
     """SURVEY.md §5.6: a multi-MB doc among small ones parses on its own
     block without OOM and yields nonempty extraction."""

@@ -74,6 +74,10 @@ def main(argv=None):
         print("--input and --output are required (unless "
               "--compact-index)", file=sys.stderr)
         return 2
+    if args.group_size < 1:
+        print(f"--group-size must be >= 1, got {args.group_size}",
+              file=sys.stderr)
+        return 2
     if os.path.isdir(args.input):
         files = sorted(f for pat in ("*.parquet", "*.warc", "*.warc.gz")
                        for f in glob.glob(os.path.join(args.input, pat)))

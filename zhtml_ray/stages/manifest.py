@@ -291,6 +291,10 @@ def run_partitioned(input_files: list[str], out_dir: str,
     with ``neardup_index`` it is the near-dup epoch size.
     ``fail_after`` aborts after N newly completed partitions — test hook
     for the kill/resume test. Returns a summary dict."""
+    if group_size < 1:
+        # partition_plan would return no partitions (or crash on 0):
+        # a "complete" run with 0 rows is a silent failure
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
     os.makedirs(out_dir, exist_ok=True)
     extract_kwargs = extract_kwargs or {}
     # canonical tag of the SEMANTIC extraction config only, resolved
