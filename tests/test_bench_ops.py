@@ -18,7 +18,7 @@ _spec.loader.exec_module(bench)
 # the smallest testdata dir, next to bench.py's
 SF = os.path.join(os.path.dirname(bench.SF_DIR), "sf0.001")
 # 60 media rows: the fewest at which the media fixture plants a duplicate
-# image; without one phash_neardup finds no candidate pair and raises
+# image; without one phash_neardup finds no pair and returns no rows
 SCALE = 0.002
 
 

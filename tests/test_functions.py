@@ -69,6 +69,94 @@ def test_minhash_similarity_reflects_jaccard():
     assert sim_far < 0.2
 
 
+def _ref_band_rows(texts, keys, num_perm=128, bands=32, k=3, seed=42):
+    """The per-doc loop form of the MinHash/LSH band buckets, as the
+    at-rest indexes were built: per-gram blake2b int, outer product
+    with ``%``, per-band blake2b of each chunk's bytes."""
+    import hashlib
+    a, b = dedup._perm_params(num_perm, seed)
+    p = np.uint64((1 << 61) - 1)
+    rows, sigs = [], []
+    for key, text in zip(keys, texts):
+        words = (text or "").split()
+        grams = ([" ".join(words)] if words else []) if len(words) < k \
+            else [" ".join(words[i:i + k])
+                  for i in range(len(words) - k + 1)]
+        sh = np.array([int.from_bytes(hashlib.blake2b(
+            g.encode("utf-8"), digest_size=8).digest(), "big")
+            for g in grams], np.uint64)
+        sig = np.full(num_perm, p, np.uint64) if not len(sh) else \
+            ((np.outer(a, sh) + b[:, None]) % p).min(axis=1)
+        sigs.append(sig)
+        w = num_perm // bands
+        for i in range(bands):
+            h = hashlib.blake2b(i.to_bytes(2, "big")
+                                + sig[i * w:(i + 1) * w].tobytes(),
+                                digest_size=8).digest()
+            rows.append((int.from_bytes(h, "big") >> 1, key))
+    return np.array(sigs, np.uint64).reshape(-1, num_perm), rows
+
+
+def test_band_bucket_kernel_matches_reference_loop():
+    """Signatures and band buckets of the vectorized kernel equal the
+    per-doc loop bit for bit (at-rest indexes depend on these values):
+    random, empty, null, fewer-than-k-word, whitespace-run and
+    non-ASCII texts, several parameter sets, and every path the batch
+    takes to the job (append_band_buckets + explode_band_buckets) and
+    to the index builders (MinHashBatch + LshBandExplode)."""
+    import random
+    rng = random.Random(11)
+    vocab = ["alpha", "beta", "γάμμα", "日本語", "x", "the", "finé", "😀"]
+    seps = [" ", "  ", "\n\t ", "\u3000", "\xa0"]
+    texts = [rng.choice(seps).join(rng.choice(vocab) + str(rng.randint(0, 9))
+                                   for _ in range(rng.choice([0, 1, 2, 3,
+                                                              40, 400])))
+             for _ in range(120)]
+    texts += ["", "   ", None, "one", "one two", "one two three",
+              "  lead   and trail  "]
+    t = _tbl(texts)
+    keys = list(range(len(texts)))
+    for num_perm, bands, k, seed in ((128, 32, 3, 42), (128, 16, 3, 7),
+                                     (64, 8, 2, 1)):
+        want_sig, want_rows = _ref_band_rows(texts, keys, num_perm, bands,
+                                             k, seed)
+        mh = dedup.MinHashBatch(num_perm=num_perm, shingle_k=k, seed=seed)
+        sig_t = mh(t)
+        got_sig = np.array(sig_t["minhash"].to_pylist(), np.uint64)
+        assert np.array_equal(got_sig, want_sig)
+        for i in (0, 5, len(texts) - 3):
+            assert np.array_equal(mh.signature(texts[i] or ""), want_sig[i])
+        ex = dedup.LshBandExplode(bands=bands, num_perm=num_perm)(sig_t)
+        assert list(zip(ex["bucket"].to_pylist(),
+                        ex["doc_id"].to_pylist())) == want_rows
+        cfg = {"key": "doc_id", "col": "text", "num_perm": num_perm,
+               "bands": bands, "shingle_k": k, "seed": seed}
+        fused = dedup.explode_band_buckets(
+            dedup.append_band_buckets(t, cfg), "doc_id")
+        assert fused.equals(ex)
+        for chunk in (1, 7, 4096):  # docs straddling chunk edges
+            assert np.array_equal(dedup._minhash_signatures(
+                [dedup._shingles(s or "", k) for s in texts],
+                mh.a, mh.b, chunk=chunk), want_sig)
+
+
+def test_minhash_mod_reduction_edge_values():
+    """``(v & p) + (v >> 61)`` plus the conditional subtract equals
+    ``v % p`` where it matters: values at and just past p and at the
+    top of uint64, where the subtract runs."""
+    p = (1 << 61) - 1
+    x = np.array([p, p + 1, 2 * p, (1 << 64) - 1, (1 << 64) - 2, 0, 1,
+                  (1 << 63) + 5], np.uint64)
+    a = np.array([1, 3, (1 << 61) - 2], np.uint64)
+    b = np.array([0, 1, 7], np.uint64)
+    want = ((np.outer(a, x) + b[:, None]) % np.uint64(p)).T
+    for i, xi in enumerate(x):
+        got = dedup._minhash_signatures([xi[None]], a, b)[0]
+        assert np.array_equal(got, want[i]), i
+    got = dedup._minhash_signatures([x], a, b, chunk=3)[0]
+    assert np.array_equal(got, want.min(axis=0))
+
+
 def test_simhash_hamming():
     f = dedup.SimHashBatch.simhash64
     a = f("the quick brown fox jumps over the lazy dog " * 5)
@@ -1007,6 +1095,21 @@ def test_phash_neardup_hamming_radius(ray_session):
     assert got == want
 
 
+def test_phash_neardup_no_candidate_pair(ray_session):
+    """Without any candidate pair (distinct images only) the result is
+    the empty typed (key_a, key_b, hamming) table, not a crash in the
+    lookup join on schema-less empty blocks."""
+    import ray.data as rd
+    from zhtml_ray.functions.multimodal import (gen_media_table,
+                                                phash_neardup)
+
+    out = phash_neardup(rd.from_arrow(gen_media_table(20,
+                                                      dup_every=1000)))
+    assert out.count() == 0
+    assert out.schema().names == ["key_a", "key_b", "hamming"]
+    assert out.schema().types == [pa.int64()] * 3
+
+
 def test_pca_planted_axis_and_layout_invariance(ray_session):
     """PCA must recover a planted dominant direction, order components
     by variance, and return BYTE-identical components and projections
@@ -1393,9 +1496,9 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path):
     import pyarrow as pa
     import ray.data as rd
 
-    from zhtml_ray.functions.dedup import (_cached_lsh_explode,
-                                           _cached_minhash, _collide,
+    from zhtml_ray.functions.dedup import (_collide, append_band_buckets,
                                            collect_band_rows,
+                                           explode_band_buckets,
                                            lsh_index_bucket_hits,
                                            lsh_index_probe)
     from zhtml_ray.stages.neardup import (append_partition_to_index,
@@ -1454,12 +1557,10 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path):
                               sparse, 0, scfg)
     populated = {int(d.rsplit("=", 1)[1])
                  for d in glob.glob(os.path.join(sparse, "bucket_part=*"))}
-    explode = _cached_lsh_explode("url", 32, 128)
-    minhash = _cached_minhash("text", 128, 3, 42)
     for i in range(100):
         miss = docs([f"http://new/{i}"], [f"fresh page {i} text here"])
-        parts = set((explode(minhash(miss))["bucket"].to_numpy()
-                     % 4096).tolist())
+        band = explode_band_buckets(append_band_buckets(miss, scfg), "url")
+        parts = set((band["bucket"].to_numpy() % 4096).tolist())
         if not parts & populated:
             break
     semi, st = both(sparse, miss)

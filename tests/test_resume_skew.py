@@ -174,6 +174,155 @@ def test_error_histogram_from_manifests(shards, tmp_path):
     assert sum(got.values()) > 0
 
 
+def _hostile_pages() -> list[tuple[str, bytes]]:
+    """Small hostile pages (parse errors of many codes) and the empty,
+    whitespace-only, script-only, one-word and non-ASCII corners."""
+    def page(body, head=""):
+        return (f"<!DOCTYPE html><html><head>{head}</head><body>{body}"
+                "</body></html>").encode()
+    return [
+        ("http://h/deep", page("<div>" * 300 + "deep text" + "</div>" * 90)),
+        ("http://h/fmt", page("<div><table>" + "x<b><i>" * 150
+                              + "</b>y<td>" * 40)),
+        ("http://h/ents", page(" ".join(["&amp;", "&notin;", "&eacute",
+                                         "&#0;", "&#x110000;",
+                                         "&ampersand"] * 60))),
+        ("http://h/bytes", b"<p>bytes: " + b"\xc3\x28\xff\xed\xa0\x80 " * 80),
+        ("http://h/attrs", page("<div a=1 a=2 b=3 b=4>x</div>" * 50)),
+        ("http://h/empty", b""),
+        ("http://h/blank", page("   \n\t  ")),
+        ("http://h/script", page("", "<script>var a = '<p>no</p>';</script>")),
+        ("http://h/one", page("<p>word</p>")),
+        ("http://h/utf8", page("<p>" + "γάμμα 日本語 finé\u3000naïve " * 20
+                               + "</p>")),
+    ]
+
+
+def test_error_counts_on_hostile_shard(ray_session, tmp_path):
+    """The manifest's error histogram (counted in Arrow) equals a count
+    of every error code of the written rows and of a re-parse."""
+    from collections import Counter
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    from zhtml_ray.html.extract import extract_document
+    from zhtml_ray.stages.manifest import run_partitioned
+
+    docs = _hostile_pages()
+    shards = []
+    for i in range(2):  # two shards: counts merge across batches
+        f = str(tmp_path / f"h{i}.parquet")
+        pq.write_table(pa.table({"url": [u + str(i) for u, _ in docs],
+                                 "html": [h for _, h in docs]}), f)
+        shards.append(f)
+    out_dir = str(tmp_path / "out")
+    run_partitioned(shards, out_dir, group_size=2, overlap=1)
+    [m] = [json.load(open(p)) for p in glob.glob(
+        os.path.join(out_dir, "_manifests", "part-*.json"))]
+    written = pads.dataset(out_dir + "/part-000000").to_table(
+        columns=["errors"])["errors"].to_pylist()
+    want = Counter(e["code"] for row in written for e in row)
+    assert m["error_counts"] == dict(want)
+    assert len(want) >= 5 and sum(want.values()) > 100
+    reparse = Counter(c for _, h in docs
+                      for c in extract_document(h)["error_codes"])
+    assert m["error_counts"] == {c: 2 * n for c, n in reparse.items()}
+
+
+def test_fused_band_rows_equal_collect_band_rows(ray_session, tmp_path):
+    """The band rows the job reads from its materialized extraction
+    (buckets computed in the extraction map) equal a separate
+    ``collect_band_rows`` pass over the same docs: real hostile, empty
+    and non-ASCII pages through ``_prepare_partition`` with and without
+    --clean, and error rows and null texts fed straight in."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from zhtml_ray.functions.dedup import (LSH_BUCKETS_COL,
+                                           append_band_buckets,
+                                           band_rows_from_blocks,
+                                           collect_band_rows)
+    from zhtml_ray.stages.manifest import _prepare_partition
+    from zhtml_ray.stages.neardup import pin_lsh_config
+
+    def rows(t):
+        return sorted(zip(t["bucket"].to_pylist(), t["url"].to_pylist()))
+
+    docs = _hostile_pages()
+    files = []
+    for i in range(3):
+        f = str(tmp_path / f"b{i}.parquet")
+        pq.write_table(pa.table({"url": [u + str(i) for u, _ in docs],
+                                 "html": [h for _, h in docs]}), f)
+        files.append(f)
+    cfg = pin_lsh_config(str(tmp_path / "idx"))
+    for clean in (False, True):
+        prep = _prepare_partition(
+            {"partition_id": 0, "input_files": files},
+            str(tmp_path / f"out{clean}"),
+            {"include_spans": False, "clean": clean}, cfg)
+        docs_ds = prep["out"].map_batches(
+            lambda b: b.drop_columns([LSH_BUCKETS_COL]),
+            batch_format="pyarrow")
+        want = collect_band_rows(docs_ds, cfg)
+        assert want.num_rows == 3 * len(docs) * cfg["bands"]
+        assert rows(prep["band_rows"]) == rows(want)
+
+    t = pa.table({"url": ["e0", "e1", "n0", "d0", "d1"],
+                  "extracted_text": pa.array(
+                      ["", "", None, "same words here", "same words here"],
+                      pa.large_string()),
+                  "ok": [False, False, True, True, True]})
+    fused = band_rows_from_blocks(rd.from_arrow(t).map_batches(
+        append_band_buckets, fn_kwargs={"cfg": cfg},
+        batch_format="pyarrow").materialize(), cfg)
+    assert rows(fused) == rows(collect_band_rows(rd.from_arrow(t), cfg))
+    with pytest.raises(ValueError, match="new_budget_rows"):
+        band_rows_from_blocks(rd.from_arrow(t).map_batches(
+            append_band_buckets, fn_kwargs={"cfg": cfg},
+            batch_format="pyarrow").materialize(), cfg, budget_rows=100)
+
+
+def test_band_rows_from_blocks_explodes_far_blocks_in_tasks(
+        ray_session, tmp_path, monkeypatch):
+    """A block held only on another node is exploded by a task next to
+    it, not fetched: with every block reported elsewhere, one task runs
+    per block and the band rows equal the in-process read's, row for
+    row."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    import ray.experimental
+    from zhtml_ray.functions import dedup
+    from zhtml_ray.stages.neardup import pin_lsh_config
+
+    cfg = pin_lsh_config(str(tmp_path / "idx"))
+    t = pa.table({"url": [f"u{i}" for i in range(40)],
+                  "extracted_text": [f"page {i % 7} body text {i}"
+                                     for i in range(40)]})
+    ds = rd.from_arrow(t).repartition(4).map_batches(
+        dedup.append_band_buckets, fn_kwargs={"cfg": cfg},
+        batch_format="pyarrow").materialize()
+    here = dedup.band_rows_from_blocks(ds, cfg)
+
+    class Spy:
+        calls = 0
+        fn = ray.remote(num_cpus=0)(dedup._block_band_rows)
+
+        def remote(self, *args):
+            Spy.calls += 1
+            return self.fn.remote(*args)
+
+    monkeypatch.setitem(dedup._STAGE_CACHE, "block_band_rows", Spy())
+    monkeypatch.setattr(ray.experimental, "get_object_locations",
+                        lambda refs: {r: {"node_ids": ["another-node"]}
+                                      for r in refs})
+    far = dedup.band_rows_from_blocks(ds, cfg)
+    assert Spy.calls == 4
+    assert far.equals(here) and here.num_rows == 40 * cfg["bands"]
+
+
 def test_zero_row_shard_partition_completes(ray_session, tmp_path):
     """An empty input parquet shard (legal; happens in real crawls) must
     complete its partition with an empty manifest — not crash on the
@@ -197,6 +346,16 @@ def test_zero_row_shard_partition_completes(ray_session, tmp_path):
     # second run resumes cleanly with nothing to do
     r2 = run_partitioned([empty], out_dir, group_size=1, overlap=1)
     assert r2["complete"] and r2["partitions_previously_done"] == 1
+    # under --neardup-index too: no blocks, so no schema to type the
+    # partition's (empty) band rows from
+    nd_out = str(tmp_path / "nd_out")
+    r3 = run_partitioned([empty], nd_out, group_size=1, overlap=1,
+                         extract_kwargs={"neardup_index":
+                                         str(tmp_path / "idx")})
+    assert r3["complete"] and r3["rows"] == 0
+    m = json.load(open(os.path.join(nd_out, "_manifests",
+                                    "part-000000.json")))
+    assert m["neardup"]["probed"] == 0
 
 
 def test_resume_with_different_config_raises(shards, tmp_path):
@@ -478,6 +637,36 @@ def test_clean_and_neardup_compose(ray_session, tmp_path):
         run_partitioned(shards, out_dir, group_size=2, overlap=1,
                         extract_kwargs={"include_spans": False,
                                         "clean": True})
+
+
+def test_neardup_output_schema_unchanged(ray_session, tmp_path):
+    """With and without --clean, a --neardup-index run writes the
+    schema of the same run without the index plus ``neardup_keep``
+    last: same columns, same order, no band-bucket column left."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    from zhtml_ray.functions.dedup import LSH_BUCKETS_COL
+    from zhtml_ray.stages.manifest import run_partitioned
+
+    shards = _neardup_shards(tmp_path)
+
+    def schema(odir):
+        return pads.dataset(sorted(glob.glob(
+            odir + "/part-*/*.parquet"))).schema.remove_metadata()
+
+    for clean in (False, True):
+        kw = {"include_spans": False, "clean": clean}
+        plain, nd = (str(tmp_path / f"{n}{clean}") for n in ("plain", "nd"))
+        run_partitioned(shards, plain, group_size=2, overlap=2,
+                        extract_kwargs=kw)
+        run_partitioned(shards, nd, group_size=2, overlap=2,
+                        extract_kwargs=dict(
+                            kw, neardup_index=str(tmp_path / f"i{clean}")))
+        got = schema(nd)
+        assert got == schema(plain).append(
+            pa.field("neardup_keep", pa.bool_()))
+        assert LSH_BUCKETS_COL not in got.names
+        assert ("clean_keep" in got.names) == clean
 
 
 def test_neardup_two_jobs_share_one_index(ray_session, tmp_path):

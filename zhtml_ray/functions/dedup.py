@@ -91,6 +91,7 @@ def md5_hex_batch(arr):
 # ------------------------------------------------------------ minhash LSH
 
 _MERSENNE = np.uint64((1 << 61) - 1)
+_SHIFT61 = np.uint64(61)
 
 
 def _perm_params(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,19 +102,76 @@ def _perm_params(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shingles(text: str, k: int = 3) -> np.ndarray:
-    """Word k-gram shingle hashes (uint64)."""
+    """Word k-gram shingle hashes (uint64): the big-endian 8-byte
+    blake2b digest of each space-joined gram, read from one joined
+    digest buffer."""
     words = text.split()
     if len(words) < k:
         grams = [" ".join(words)] if words else []
     else:
-        grams = [" ".join(words[i:i + k]) for i in range(len(words) - k + 1)]
-    if not grams:
-        return np.zeros(0, np.uint64)
-    out = np.empty(len(grams), np.uint64)
-    for i, g in enumerate(grams):
-        out[i] = int.from_bytes(
-            hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest(), "big")
-    return out
+        grams = map(" ".join, zip(*(words[i:] for i in range(k))))
+    b2 = hashlib.blake2b
+    digests = b"".join([b2(g.encode("utf-8"), digest_size=8).digest()
+                        for g in grams])
+    return np.frombuffer(digests, ">u8").astype(np.uint64)
+
+
+def _minhash_signatures(shingles: list, a: np.ndarray, b: np.ndarray,
+                        chunk: int = 512) -> np.ndarray:
+    """(docs × num_perm) MinHash signatures of per-doc shingle arrays:
+    the min over a doc's shingles x of ``(a*x + b) mod p`` (``a*x + b``
+    wraps mod 2**64 first, p = 2**61 - 1), a doc without shingles
+    reading p in every slot. All docs' shingles run as one stream in
+    chunks of ``chunk`` shingles, in two reused (num_perm × chunk)
+    buffers that stay in cache: ``v mod p`` is ``(v & p) + (v >> 61)``
+    with one conditional subtract (skipped when no value reaches p),
+    and each chunk's per-doc minima come from one
+    ``minimum.reduceat``."""
+    sig = np.full((len(a), len(shingles)), _MERSENNE, np.uint64)
+    lens = np.fromiter(map(len, shingles), np.int64, len(shingles))
+    if not lens.sum():
+        return sig.T
+    flat = np.concatenate(shingles)
+    doc = np.repeat(np.arange(len(shingles)), lens)
+    first = np.r_[True, doc[1:] != doc[:-1]]
+    buf, lo = np.empty((2, len(a), chunk), np.uint64)
+    a, b = a[:, None], b[:, None]
+    for c0 in range(0, len(flat), chunk):
+        x = flat[c0:c0 + chunk]
+        v, vlo = buf[:, :len(x)], lo[:, :len(x)]
+        np.multiply(a, x, out=v)
+        v += b
+        np.bitwise_and(v, _MERSENNE, out=vlo)
+        v >>= _SHIFT61
+        v += vlo
+        if v.max() >= _MERSENNE:
+            np.subtract(v, _MERSENNE, out=v, where=v >= _MERSENNE)
+        starts = np.flatnonzero(first[c0:c0 + chunk])
+        if not len(starts) or starts[0]:  # a doc runs on from the last
+            starts = np.r_[0, starts]
+        ids = doc[c0 + starts]
+        sig[:, ids] = np.minimum(sig[:, ids],
+                                 np.minimum.reduceat(v, starts, axis=1))
+    return sig.T
+
+
+def _band_hashes(sigs: np.ndarray, bands: int) -> np.ndarray:
+    """(docs × bands) int64 LSH bucket ids of a (docs × num_perm)
+    signature matrix: blake2b over (2-byte big-endian band index ‖ the
+    band's signature slice in native byte order), top 63 bits — all
+    read from one ``tobytes()`` of the matrix. (A 1-byte band index
+    capped bands at 256.)"""
+    n, num_perm = sigs.shape
+    w = _band_rows(num_perm, bands) * 8
+    raw = memoryview(np.ascontiguousarray(sigs, np.uint64).tobytes())
+    prefixes = [i.to_bytes(2, "big") for i in range(bands)]
+    b2 = hashlib.blake2b
+    digests = b"".join([
+        b2(p + raw[off + i * w:off + (i + 1) * w], digest_size=8).digest()
+        for off in range(0, n * num_perm * 8, num_perm * 8)
+        for i, p in enumerate(prefixes)])
+    return (np.frombuffer(digests, ">u8") >> np.uint64(1)) \
+        .astype(np.int64).reshape(n, bands)
 
 
 class MinHashBatch:
@@ -126,26 +184,34 @@ class MinHashBatch:
         self.num_perm = num_perm
         self.a, self.b = _perm_params(num_perm, seed)
 
+    def signatures(self, texts: list) -> np.ndarray:
+        """(len(texts) × num_perm) signatures; None reads as ""."""
+        return _minhash_signatures(
+            [_shingles(s or "", self.k) for s in texts], self.a, self.b)
+
     def signature(self, text: str) -> np.ndarray:
-        sh = _shingles(text, self.k)
-        if len(sh) == 0:
-            return np.full(self.num_perm, np.uint64((1 << 61) - 1), np.uint64)
-        # (a*x + b) mod p for each permutation — vectorized outer product
-        v = (np.outer(self.a, sh) + self.b[:, None]) % _MERSENNE
-        return v.min(axis=1)
+        return self.signatures([text])[0]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.col].to_pylist()
-        sigs = np.stack([self.signature(s or "") for s in texts]) \
-            if texts else np.zeros((0, self.num_perm), np.uint64)
+        sigs = self.signatures(batch[self.col].to_pylist())
         return batch.append_column(
-            "minhash", pa.array(list(sigs), pa.list_(pa.uint64(),
-                                                     self.num_perm)))
+            "minhash", pa.FixedSizeListArray.from_arrays(
+                pa.array(sigs.ravel(), pa.uint64()), self.num_perm))
 
 
 def _band_rows(num_perm: int, bands: int) -> int:
     assert num_perm % bands == 0
     return num_perm // bands
+
+
+def _explode_buckets(keys, buckets: np.ndarray, key: str) -> pa.Table:
+    """(docs × bands) bucket ids + the docs' keys → one ``(bucket,
+    key)`` row per doc and band, doc-major."""
+    n, bands = buckets.shape
+    return pa.table({
+        "bucket": pa.array(buckets.ravel(), pa.int64()),
+        key: keys.take(pa.array(np.repeat(np.arange(n), bands),
+                                pa.int64()))})
 
 
 class LshBandExplode:
@@ -161,25 +227,13 @@ class LshBandExplode:
                  num_perm: int = 128):
         self.key = key
         self.bands = bands
-        self.rows = _band_rows(num_perm, bands)
+        self.num_perm = num_perm
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch[self.key].to_pylist()
-        sigs = batch["minhash"].to_pylist()
-        buckets, out_keys = [], []
-        for key, sig in zip(keys, sigs):
-            arr = np.asarray(sig, np.uint64)
-            for b in range(self.bands):
-                chunk = arr[b * self.rows:(b + 1) * self.rows]
-                # 2-byte band prefix: bytes([b]) capped bands at 256
-                h = hashlib.blake2b(b.to_bytes(2, "big") + chunk.tobytes(),
-                                    digest_size=8).digest()
-                buckets.append(int.from_bytes(h, "big") >> 1)
-                out_keys.append(key)
-        return pa.table({
-            "bucket": pa.array(buckets, pa.int64()),
-            self.key: pa.array(out_keys),
-        })
+        sigs = pc.list_flatten(batch["minhash"]).to_numpy(
+            zero_copy_only=False).reshape(-1, self.num_perm)
+        return _explode_buckets(batch[self.key],
+                                _band_hashes(sigs, self.bands), self.key)
 
 
 _STAGE_CACHE: dict = {}
@@ -193,12 +247,32 @@ def _cached_minhash(col, num_perm, shingle_k, seed):
     return _STAGE_CACHE[k]
 
 
-def _cached_lsh_explode(key, bands, num_perm):
-    k = ("lsh", key, bands, num_perm)
-    if k not in _STAGE_CACHE:
-        _STAGE_CACHE[k] = LshBandExplode(key=key, bands=bands,
-                                         num_perm=num_perm)
-    return _STAGE_CACHE[k]
+# the job's per-doc LSH band buckets, fixed_size_list<int64>[bands]
+LSH_BUCKETS_COL = "_lsh_buckets"
+
+
+def append_band_buckets(batch: pa.Table, cfg: dict) -> pa.Table:
+    """``batch`` plus each doc's LSH band buckets of ``cfg["col"]``
+    under the MinHash/LSH parameters ``cfg`` (``lsh_index_config``) as
+    the ``LSH_BUCKETS_COL`` column. The one band-bucket kernel of the
+    at-rest index: the job computes it inside its extraction map, the
+    index builders and probes through ``_band_rows_ds``."""
+    mh = _cached_minhash(cfg["col"], cfg["num_perm"], cfg["shingle_k"],
+                         cfg["seed"])
+    buckets = _band_hashes(mh.signatures(batch[cfg["col"]].to_pylist()),
+                           cfg["bands"])
+    return batch.append_column(
+        LSH_BUCKETS_COL, pa.FixedSizeListArray.from_arrays(
+            pa.array(buckets.ravel(), pa.int64()), cfg["bands"]))
+
+
+def explode_band_buckets(t: pa.Table, key: str) -> pa.Table:
+    """``t``'s ``(key, LSH_BUCKETS_COL)`` → its ``(bucket, key)`` band
+    rows, doc-major."""
+    col = t[LSH_BUCKETS_COL]
+    bands = col.type.list_size
+    buckets = pc.list_flatten(col).to_numpy(zero_copy_only=False)
+    return _explode_buckets(t[key], buckets.reshape(-1, bands), key)
 
 
 def _bucket_pairs_np(K, n, starts, ends, runs_mask, clique_limit):
@@ -274,10 +348,9 @@ def minhash_candidate_pairs(ds, key: str = "doc_id", col: str = "text",
     import pyarrow.compute as pc
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
 
-    mh = _cached_minhash(col, num_perm, shingle_k, seed)
-    le = _cached_lsh_explode(key, bands, num_perm)
-    sigs = ds.map_batches(mh, batch_format="pyarrow")
-    exploded = sigs.map_batches(le, batch_format="pyarrow")
+    exploded = _band_rows_ds(ds, {"key": key, "col": col,
+                                  "num_perm": num_perm, "bands": bands,
+                                  "shingle_k": shingle_k, "seed": seed})
 
     sch = ds.schema()
     kt = (sch.base_schema.field(key).type
@@ -1273,12 +1346,34 @@ def build_lsh_index(ds, out_dir: str, key: str = "doc_id",
 
 def _band_rows_ds(ds, cfg: dict):
     """``ds`` → its ``(bucket, key)`` band rows under ``cfg``'s
-    MinHash/LSH parameters (one MinHash → band-explode pass)."""
-    mh = _cached_minhash(cfg["col"], cfg["num_perm"], cfg["shingle_k"],
-                         cfg["seed"])
-    le = _cached_lsh_explode(cfg["key"], cfg["bands"], cfg["num_perm"])
-    return ds.map_batches(mh, batch_format="pyarrow") \
-        .map_batches(le, batch_format="pyarrow")
+    MinHash/LSH parameters: one map of the shared band-bucket kernel
+    (``append_band_buckets``) and its explode."""
+    key = cfg["key"]
+
+    def band_rows(b: pa.Table) -> pa.Table:
+        return explode_band_buckets(
+            append_band_buckets(b.select([key, cfg["col"]]), cfg), key)
+
+    return ds.map_batches(band_rows, batch_format="pyarrow")
+
+
+def _empty_band_rows(ds, key: str) -> pa.Table:
+    """Typed empty band rows; a Dataset of no block at all (a zero-row
+    partition) has no schema, and its key is read as a string."""
+    sch = ds.schema()
+    kt = sch.base_schema.field(key).type if sch is not None \
+        else pa.string()
+    return pa.table({"bucket": pa.array([], pa.int64()),
+                     key: pa.array([], kt)})
+
+
+def _check_band_budget(n_rows: int, budget_rows: int, bands: int) -> None:
+    if n_rows > budget_rows:
+        raise ValueError(
+            f"probe side explodes to >{n_rows} band rows (budget "
+            f"new_budget_rows={budget_rows}, bands={bands}). "
+            "The probe side must be the SMALL side — split it into "
+            "smaller probes or raise the budget explicitly.")
 
 
 def collect_band_rows(ds, cfg: dict,
@@ -1294,19 +1389,56 @@ def collect_band_rows(ds, cfg: dict,
     for t in _band_rows_ds(ds, cfg).iter_batches(batch_size=None,
                                                  batch_format="pyarrow"):
         n_rows += t.num_rows
-        if n_rows > budget_rows:
-            raise ValueError(
-                f"probe side explodes to >{n_rows} band rows (budget "
-                f"new_budget_rows={budget_rows}, bands={cfg['bands']}). "
-                "The probe side must be the SMALL side — split it into "
-                "smaller probes or raise the budget explicitly.")
+        _check_band_budget(n_rows, budget_rows, cfg["bands"])
         chunks.append(t)
     if not chunks:
-        key = cfg["key"]
-        kt = ds.schema().base_schema.field(key).type
-        return pa.table({"bucket": pa.array([], pa.int64()),
-                         key: pa.array([], kt)})
+        return _empty_band_rows(ds, cfg["key"])
     return pa.concat_tables(chunks)
+
+
+def _block_band_rows(block: pa.Table, key: str) -> pa.Table:
+    """One materialized block's ``(bucket, key)`` band rows."""
+    return explode_band_buckets(block.select([key, LSH_BUCKETS_COL]), key)
+
+
+def band_rows_from_blocks(ds, cfg: dict,
+                          budget_rows: int = 4_000_000) -> pa.Table:
+    """``collect_band_rows``' rows, read from a MATERIALIZED Dataset
+    that already carries the ``LSH_BUCKETS_COL`` column
+    (``append_band_buckets`` under ``cfg``) — no Ray Data execution.
+    Each block's key and bucket columns are selected and exploded where
+    the block lives, so only band rows cross the network, never the
+    text: a block held on this process's node (or inline in its memory)
+    is read here; a block held only on other nodes gets one zero-CPU
+    task, which Ray schedules next to its argument. (A task per block
+    on one node would start extra worker processes while the epoch's
+    other extractions hold the CPUs.) The same budget fails loudly, on
+    the blocks' metadata row counts, before any block is read."""
+    import ray
+    import ray.experimental
+
+    from zhtml_ray.stages.util import block_refs
+
+    key = cfg["key"]
+    blocks = block_refs(ds)
+    _check_band_budget(sum(m.num_rows for _, m in blocks) * cfg["bands"],
+                       budget_rows, cfg["bands"])
+    refs = [r for r, _ in blocks]
+    if not refs:
+        return _empty_band_rows(ds, key)
+    if "block_band_rows" not in _STAGE_CACHE:
+        _STAGE_CACHE["block_band_rows"] = \
+            ray.remote(num_cpus=0)(_block_band_rows)
+    task = _STAGE_CACHE["block_band_rows"]
+    here = ray.get_runtime_context().get_node_id()
+    locs = ray.experimental.get_object_locations(refs)
+    remote = [bool(locs[r]["node_ids"]) and here not in locs[r]["node_ids"]
+              for r in refs]
+    pending = [task.remote(r, key) if far else r
+               for r, far in zip(refs, remote)]
+    return pa.concat_tables([
+        b if far else _block_band_rows(b, key)
+        for b, far in zip(ray.get(pending), remote)])
 
 
 def _collide(nbk: np.ndarray, nkeys: pa.Array, b: pa.Table,

@@ -487,6 +487,12 @@ def phash_neardup(ds, max_hamming: int = 3, decode=None,
     pairs = dedup_candidate_pairs(sorted_bucket_apply(
         exploded, "bucket", ["bucket", "media_id"],
         interior_pairs, edge_pairs, empty))
+    if pairs.count() == 0:
+        # no candidate pair: the emptied blocks carry no schema for the
+        # lookup joins below, so answer with the typed empty result
+        import ray.data as rd
+        return rd.from_arrow(empty.append_column(
+            "hamming", pa.array([], pa.int64())))
 
     def rn(new_key, payload):
         return lambda b: pa.table({new_key: b["media_id"],

@@ -8,8 +8,11 @@ sub-execution: read → extract → write to a temp dir → atomic rename →
 manifest record. On resume, completed partition ids are loaded and
 their input shards are skipped BEFORE any read is issued. With
 ``--neardup-index`` a partition splits into a prepare half (extract +
-hash) and a finish half (mark + write) around one shared near-dup
-resolve per epoch of ``overlap`` partitions (``_run_neardup_epochs``).
+MinHash band buckets in one fused map, materialized, then the band rows
+read from its blocks) and a finish half (mark + write) around one
+shared near-dup resolve per epoch of ``overlap`` partitions
+(``_run_neardup_epochs``) — two Ray Data executions per partition plus
+one index scan per epoch.
 
 The manifest row doubles as lineage + metrics:
   {partition_id, input_files, rows, html_bytes, checksum,
@@ -59,9 +62,12 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
 def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
                        nd_cfg: dict | None = None) -> dict:
     """First half of a partition: read → extract → [clean]. With
-    ``nd_cfg`` (``--neardup-index``) the extraction is materialized
-    and hashed to its ``(bucket, key)`` band rows, ready for the
-    epoch's resolve (stages/neardup.py:resolve_epoch)."""
+    ``nd_cfg`` (``--neardup-index``) the same fused map also appends
+    each doc's LSH band buckets (``dedup.append_band_buckets``), the
+    extraction is materialized, and its ``(bucket, key)`` band rows are
+    read from the blocks (``dedup.band_rows_from_blocks``; ``hash_s``
+    times that read), ready for the epoch's resolve
+    (stages/neardup.py:resolve_epoch)."""
     import ray.data as rd
 
     from zhtml_ray.pipelines.extract import extract_pages
@@ -133,20 +139,25 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
         from zhtml_ray.pipelines.ops_queries import append_clean_columns
         out = out.map_batches(append_clean_columns,
                               batch_format="pyarrow")
-    prep = {"part": part, "t0": t0, "out": out,
-            "tmp_dir": tmp_dir, "final_dir": final_dir}
+    prep = {"part": part, "t0": t0, "tmp_dir": tmp_dir,
+            "final_dir": final_dir}
     if nd_cfg is not None:
-        # materialize: the extraction is consumed twice (hash + final
-        # write) and must not re-parse — partitions are the bounded
-        # unit (group_size shards), so blocks fit the object store.
-        from zhtml_ray.functions.dedup import collect_band_rows
-        out = prep["out"] = out.materialize()
-        key = prep["neardup_key"] = nd_cfg["key"]
+        # each doc's LSH band buckets are one more column of the same
+        # fused extraction map; materialize, since the extraction is
+        # consumed twice (band rows + final write) and must not
+        # re-parse — partitions are the bounded unit (group_size
+        # shards), so blocks fit the object store. The band rows are
+        # then read straight from the blocks, with no second execution.
+        from zhtml_ray.functions.dedup import (append_band_buckets,
+                                               band_rows_from_blocks)
+        out = out.map_batches(append_band_buckets,
+                              fn_kwargs={"cfg": nd_cfg},
+                              batch_format="pyarrow").materialize()
+        prep["neardup_key"] = nd_cfg["key"]
         t1 = time.perf_counter()
-        prep["band_rows"] = collect_band_rows(out.map_batches(
-            lambda b, _c=(key, nd_cfg["col"]): b.select(list(_c)),
-            batch_format="pyarrow"), nd_cfg)
+        prep["band_rows"] = band_rows_from_blocks(out, nd_cfg)
         prep["hash_s"] = round(time.perf_counter() - t1, 3)
+    prep["out"] = out
     return prep
 
 
@@ -163,13 +174,17 @@ def _finish_partition(prep: dict, drop_keys=None,
     out, tmp_dir, final_dir = prep["out"], prep["tmp_dir"], prep["final_dir"]
     if drop_keys is not None:
         # append-only neardup_keep column: rows == inputs invariant
-        # preserved (stages/neardup.py)
+        # preserved (stages/neardup.py); the prepare half's band-bucket
+        # column goes first, so the written schema is unchanged
         import ray
+
+        from zhtml_ray.functions.dedup import LSH_BUCKETS_COL
         dref = ray.put(drop_keys)
 
         def mark(b: pa.Table, _k=prep["neardup_key"]) -> pa.Table:
             keep = pc.invert(pc.is_in(b[_k], value_set=ray.get(dref)))
-            return b.append_column("neardup_keep", keep.combine_chunks())
+            return b.drop_columns([LSH_BUCKETS_COL]).append_column(
+                "neardup_keep", keep.combine_chunks())
 
         out = out.map_batches(mark, batch_format="pyarrow")
     out.write_parquet(tmp_dir)
@@ -201,8 +216,10 @@ def _finish_partition(prep: dict, drop_keys=None,
                 & 0xFFFFFFFFFFFFFFFF
             flat = pc.list_flatten(b.column(1))
             codes = flat if legacy else pc.struct_field(flat, "code")
-            for c in codes.to_pylist():
-                err_counts[c] = err_counts.get(c, 0) + 1
+            vc = pc.value_counts(codes)
+            for c, n in zip(vc.field("values").to_pylist(),
+                            vc.field("counts").to_pylist()):
+                err_counts[c] = err_counts.get(c, 0) + n
             html_bytes += int(pc.sum(b.column(2)).as_py() or 0)
 
     manifest = {
@@ -240,11 +257,12 @@ def _run_neardup_epochs(todo: list[dict], todo_now: list[dict],
                         out_dir: str, extract_kwargs: dict,
                         epoch_size: int) -> list[dict]:
     """``--neardup-index`` partitions, ``epoch_size`` consecutive ones
-    at a time: concurrent prepare (extract + hash), one in-process
-    ``resolve_epoch`` (one index scan, ascending-pid resolve, appends),
-    concurrent finish, then the manifests in ascending pid order — so a
-    later pid is never complete while an earlier one is not. The drops
-    equal a sequential run's for every ``epoch_size``. A partition's
+    at a time: concurrent prepare (one fused extract + band-bucket
+    execution each), one in-process ``resolve_epoch`` (one index scan,
+    ascending-pid resolve, appends), concurrent finish, then the
+    manifests in ascending pid order — so a later pid is never
+    complete while an earlier one is not. The drops equal a
+    sequential run's for every ``epoch_size``. A partition's
     ``wall_s`` runs from its prepare to its finish, so it includes the
     epoch's shared resolve and any wait for its epoch-mates."""
     from zhtml_ray.stages.neardup import (clean_partition_files, job_tag,

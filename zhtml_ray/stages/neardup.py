@@ -19,11 +19,16 @@ exactly like the snapshot/incremental dedup literature's first stage:
 Partitions run in EPOCHS of ``overlap`` consecutive pids
 (stages/manifest.py:_run_neardup_epochs), in three phases:
 
-  1. concurrent prepare: each partition's extract → materialize → one
-     budgeted MinHash → band-explode pass collects its ``(bucket,
-     key)`` rows to the job process (``dedup.collect_band_rows``); the
-     same rows feed the probe, the within-partition scan and the
-     append;
+  1. concurrent prepare: each partition runs ONE Ray Data execution,
+     extract (+ clean) → MinHash → band buckets in one fused map
+     (``dedup.append_band_buckets`` appends each doc's buckets as a
+     ``fixed_size_list<int64>[bands]`` column), materialized; its
+     ``(bucket, key)`` rows are then read straight from the
+     materialized blocks (``dedup.band_rows_from_blocks``: one
+     zero-CPU task per block ref selects and explodes the key and
+     bucket columns where the block lives; no second execution, and
+     no text leaves its block). The same rows feed the probe, the
+     within-partition scan and the append;
   2. one in-process resolve (``resolve_epoch``): ONE scan over the
      pruned index for the union of the epoch's buckets
      (``dedup.lsh_index_bucket_hits``: a Dataset of the index FILE
@@ -32,13 +37,18 @@ Partitions run in EPOCHS of ``overlap`` consecutive pids
      shuffle), then each partition in ascending pid order is resolved
      against that snapshot plus its earlier epoch-mates' survivors and
      appends its own survivors;
-  3. concurrent finish: mark → write → rename; the manifests are then
-     written in ascending pid order.
+  3. concurrent finish: mark (which drops the bucket column, so the
+     written schema carries only ``neardup_keep`` more) → write →
+     rename; the manifests are then written in ascending pid order.
 
-The manifest's ``neardup`` record times the steps (``hash_s`` and
-``append_s`` per partition; ``probe_s`` = the epoch's shared scan plus
-the partition's own resolve) next to ``index_parts_read`` (of the
-shared scan) and ``epoch_pids``, the pids that shared one snapshot.
+The manifest's ``neardup`` record times the steps: ``hash_s`` is the
+time to collect the partition's band rows from its materialized blocks
+(the MinHash itself runs inside the extraction tasks, so it is part of
+the partition's extraction); ``probe_s`` is the epoch's shared scan
+plus the partition's own resolve; ``append_s`` is the partition's own
+index append. Next to them: ``index_parts_read``
+(of the shared scan) and ``epoch_pids``, the pids that shared one
+snapshot.
 
 The stage is append-only on the data path (a ``neardup_keep`` bool
 column, preserving the job CLI's rows == inputs manifest invariant —
@@ -132,22 +142,25 @@ def append_partition_to_index(band_rows: pa.Table, index_dir: str,
                               tag: str = "") -> int:
     """Write a partition's surviving band rows into the index with
     deterministic per-partition file names (atomic tmp+rename per
-    bucket_part) — rerunnable after clean_partition_files. Returns the
-    number of bucket_part files written."""
+    bucket_part) — rerunnable after clean_partition_files. One stable
+    sort on bucket_part, then one slice per file, so each file keeps
+    its rows in ``band_rows`` order. Returns the number of bucket_part
+    files written."""
     from zhtml_ray.functions.dedup import with_bucket_part
 
     t = with_bucket_part(band_rows, cfg["key"], cfg["n_parts"])
     part = t["bucket_part"].to_numpy()
-    written = 0
-    for v in np.unique(part):
-        sub = t.filter(pa.array(part == v)).drop_columns(["bucket_part"])
-        d = os.path.join(index_dir, f"bucket_part={int(v)}")
+    order = np.argsort(part, kind="stable")
+    t = t.take(pa.array(order)).drop_columns(["bucket_part"])
+    parts, starts = np.unique(part[order], return_index=True)
+    ends = np.r_[starts[1:], len(order)]
+    for v, lo, hi in zip(parts.tolist(), starts.tolist(), ends.tolist()):
+        d = os.path.join(index_dir, f"bucket_part={v}")
         os.makedirs(d, exist_ok=True)
         final = os.path.join(d, f"part-{tag}{pid:06d}.parquet")
-        pq.write_table(sub, final + ".tmp")
+        pq.write_table(t.slice(lo, hi - lo), final + ".tmp")
         os.replace(final + ".tmp", final)
-        written += 1
-    return written
+    return len(parts)
 
 
 def resolve_epoch(index_dir: str, cfg: dict, parts: list,
@@ -227,7 +240,10 @@ def partition_neardup(docs_ds, index_dir: str, pid: int,
     ``docs_ds``: the partition's extracted docs (must contain
     ``cfg[key]`` and ``cfg[col]``; pass a column-pruned dataset).
     Returns ``(drop_keys, stats)`` where ``drop_keys`` is the set of
-    keys marked near-duplicate and ``stats`` the manifest record.
+    keys marked near-duplicate and ``stats`` the manifest record; its
+    ``hash_s`` times a separate ``collect_band_rows`` pass over
+    ``docs_ds`` (the job computes the same buckets inside its
+    extraction map instead).
     Caller sequencing contract: partitions run in ascending pid order,
     each after the previous one's append."""
     from time import perf_counter

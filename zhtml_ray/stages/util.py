@@ -44,6 +44,14 @@ def stateless_stage(cls, **ctor_kwargs):
     return fn
 
 
+def block_refs(ds) -> list:
+    """``(block ref, block metadata)`` of every non-empty block of a
+    MATERIALIZED Dataset, in block order — read from its ref bundles,
+    so no Ray Data execution starts and no block is fetched."""
+    return [(ref, meta) for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
 def drop_empty_blocks(ds):
     """Rebuild a (small, already-materialized) Dataset from its non-empty
     block refs. Ray's groupby.map_groups can emit 0-row blocks with an
@@ -52,11 +60,7 @@ def drop_empty_blocks(ds):
     key field"). Zero-copy: only object refs move, blocks stay put."""
     import ray.data as rd
     ds = ds.materialize()
-    refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                refs.append(ref)
+    refs = [ref for ref, _ in block_refs(ds)]
     if not refs:
         return ds
     return rd.from_arrow_refs(refs)
