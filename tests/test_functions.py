@@ -334,6 +334,38 @@ def test_label_propagation_two_components(ray_session, budget):
     assert got == {1: 1, 2: 1, 10: 10, 11: 10}
 
 
+def test_label_propagation_run_checks():
+    """The send and receive run functions check EVERY node run, not
+    only a block's first: exactly one label row, exactly one self
+    row, else a loud RuntimeError."""
+    from zhtml_ray.functions.dedup import _lp_round_runs, _lp_send_runs
+
+    def send(src):
+        t = pa.table({"node": pa.array([1, 1, 2, 2, 3], pa.int64()),
+                      "aux": pa.array(np.arange(5), pa.int64()),
+                      "src": pa.array(src, pa.int8())})
+        return _lp_send_runs(t, np.array([0, 2, 4]), np.array([2, 4, 5]))
+
+    assert send([0, 1, 0, 1, 0])["is_self"].to_pylist() == [0, 0, 1, 1, 1]
+    with pytest.raises(RuntimeError, match="0 label rows"):
+        send([0, 1, 1, 1, 0])          # middle run lost its label row
+    with pytest.raises(RuntimeError, match="2 label rows"):
+        send([0, 1, 0, 0, 0])          # middle run has two
+    with pytest.raises(RuntimeError, match="0 label rows"):
+        send([0, 1, 0, 1, 1])          # last run has none
+
+    def rnd(is_self):
+        t = pa.table({"node": pa.array([1, 1, 2, 2], pa.int64()),
+                      "lbl": pa.array([0, 1, 2, 2], pa.int64()),
+                      "is_self": pa.array(is_self, pa.int8())})
+        return _lp_round_runs(t, np.array([0, 2]), np.array([2, 4]))
+
+    assert rnd([0, 1, 1, 0])["chg"].to_pylist() == [1, 0]
+    for bad, n in (([0, 1, 0, 0], 0), ([0, 1, 1, 1], 2)):
+        with pytest.raises(RuntimeError, match=f"{n} self rows"):
+            rnd(bad)
+
+
 def test_minhash_dedup_join_path_matches_broadcast(ray_session):
     """broadcast_budget=0 forces the hash-partitioned left-join
     assignment; output must equal the broadcast path."""
@@ -826,24 +858,107 @@ def test_paragraph_dedup_planted(ray_session, tmp_path):
     assert got[3]["n_paras_kept"] == 2
 
 
-def test_sorted_head_n_per_group(ray_session):
-    """head-n primitive: min-n-by per group across block boundaries."""
-    import pyarrow as pa
+@pytest.mark.parametrize("nblocks", [1, 7, 40])
+def test_sorted_head_n_per_group(ray_session, nblocks):
+    """head-n primitive vs pandas head(n) per group: min-n-by across
+    block layouts that force boundary runs, nulls in a group key."""
+    import pandas as pd
     import ray.data as rd
     from zhtml_ray.stages.sortagg import sorted_head_n_per_group
 
-    rows = [{"g": f"g{i % 7}", "v": (i * 37) % 101, "id": i}
-            for i in range(500)]
-    ds = rd.from_items(rows).repartition(11)
-    got = sorted_head_n_per_group(ds, ["g"], ["v", "id"], 3).take_all()
-    import collections
-    by_g = collections.defaultdict(list)
-    for r in rows:
-        by_g[r["g"]].append((r["v"], r["id"]))
-    for g, vals in by_g.items():
-        want = sorted(vals)[:3]
-        have = sorted((r["v"], r["id"]) for r in got if r["g"] == g)
-        assert have == want, g
+    rng = np.random.RandomState(200 + nblocks)
+    n = 3000
+    g = rng.randint(0, 60, n)
+    g[:1200] = 7                         # hot group over many blocks
+    g2 = np.array([f"s{v % 3}" if v % 5 else None for v in g],
+                  dtype=object)
+    t = pa.table({"g": pa.array(g, pa.int64()),
+                  "g2": pa.array(g2, pa.string()),
+                  "v": pa.array(rng.randint(0, 50, n), pa.int64()),
+                  "id": pa.array(rng.permutation(n), pa.int64())})
+    ds = rd.from_arrow(t).repartition(nblocks)
+    cols = ["g", "g2", "v", "id"]
+    got = (sorted_head_n_per_group(ds, ["g", "g2"], ["v", "id"], 3)
+           .to_pandas()[cols].sort_values(cols, na_position="last")
+           .reset_index(drop=True))
+    want = (t.to_pandas().sort_values(["g", "g2", "v", "id"])
+            .groupby(["g", "g2"], dropna=False).head(3)[cols]
+            .sort_values(cols, na_position="last")
+            .reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize("nblocks", [1, 7, 40])
+def test_sorted_bucket_apply_whole_runs(ray_session, nblocks):
+    """Every bucket reaches the run function exactly once, whole, and
+    in sort_keys order — interior runs and the runs regrouped from
+    block edges alike, including a hot bucket over 3+ blocks and
+    blocks holding a single run — checked against pandas."""
+    import ray.data as rd
+    from zhtml_ray.stages.sortagg import sorted_bucket_apply
+
+    rng = np.random.RandomState(300 + nblocks)
+    n = 4000
+    b = rng.randint(0, 400, n)
+    b[:1800] = 123                       # hot bucket
+    t = pa.table({"b": pa.array(b, pa.int64()),
+                  "w": pa.array(rng.randint(0, 5, n), pa.int64()),
+                  "v": pa.array(rng.permutation(n), pa.int64())})
+    ds = rd.from_arrow(t).repartition(nblocks)
+    if nblocks > 1:
+        srt = ds.sort(["b", "w", "v"]).materialize()
+        spans = sum(123 in blk["b"].to_pylist() for blk in srt.iter_batches(
+            batch_size=None, batch_format="pyarrow"))
+        assert spans >= 3, spans
+
+    empty = pa.table({"b": pa.array([], pa.int64()),
+                      "vs": pa.array([], pa.list_(pa.int64())),
+                      "tiled": pa.array([], pa.bool_())})
+
+    def runs_fn(tb, starts, ends):
+        assert len(starts) >= 1
+        return pa.table({
+            "b": tb["b"].take(pa.array(starts, pa.int64())),
+            "vs": pa.ListArray.from_arrays(
+                pa.array(np.r_[starts, ends[-1]], pa.int32()),
+                tb["v"].combine_chunks()),
+            "tiled": pa.array(np.full(
+                len(starts), starts[0] == 0 and ends[-1] == tb.num_rows
+                and bool(np.all(starts[1:] == ends[:-1]))))})
+
+    got = sorted_bucket_apply(ds, "b", ["b", "w", "v"], runs_fn,
+                              empty).to_pandas()
+    assert got["tiled"].all()
+    assert got["b"].is_unique             # each bucket exactly once
+    want = {k: grp["v"].tolist() for k, grp in
+            t.to_pandas().sort_values(["b", "w", "v"]).groupby("b")}
+    assert {k: list(vs) for k, vs in zip(got["b"], got["vs"])} == want
+
+
+@pytest.mark.parametrize("with_pairs", [True, False])
+def test_sorted_bucket_apply_blocks_carry_schema(ray_session, with_pairs):
+    """Every output block — the regroup pass's included — carries the
+    run function's schema, whether or not any run emits a row."""
+    import ray
+    import ray.data as rd
+    from zhtml_ray.functions.dedup import _bucket_pairs_np
+    from zhtml_ray.stages.sortagg import sorted_bucket_apply
+
+    n = 600
+    bucket = np.arange(n) // 3 if with_pairs else np.arange(n)
+    t = pa.table({"bucket": pa.array(bucket, pa.int64()),
+                  "key": pa.array(np.arange(n), pa.int64())})
+    empty = pa.table({"key_a": pa.array([], pa.int64()),
+                      "key_b": pa.array([], pa.int64())})
+    out = sorted_bucket_apply(
+        rd.from_arrow(t).repartition(9), "bucket", ["bucket", "key"],
+        lambda b, s, e: _bucket_pairs_np(b["key"].combine_chunks(),
+                                         s, e, 0),
+        empty).materialize()
+    schemas = [ray.get(ref).schema for bundle in
+               out.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
+    assert schemas and all(sc == empty.schema for sc in schemas)
+    assert out.count() == (2 * n // 3 if with_pairs else 0)
 
 
 def test_decontaminate_paths_agree(ray_session):

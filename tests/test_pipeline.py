@@ -55,8 +55,10 @@ def test_write_parquet_roundtrip(pages_ds, tmp_path):
 
 
 def test_entry_contract(ray_session):
+    import os
     import sys
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as e
     ds = e.entry()
     n = ds.count() if hasattr(ds, "count") else len(ds)

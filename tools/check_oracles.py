@@ -97,7 +97,8 @@ def main():
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
     import importlib
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     entry = importlib.import_module("__ray_entry__")
 
     con = duckdb.connect()

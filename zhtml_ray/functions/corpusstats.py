@@ -203,20 +203,10 @@ def dup_ngrams(ds, n: int = 5):
     annot_empty = pa.table({"doc_id": pa.array([], pa.int64()),
                             "dup": pa.array([], pa.int64())})
 
-    def df_interior(b: pa.Table, starts, ends, mask) -> pa.Table:
+    def df_runs(b: pa.Table, starts, ends) -> pa.Table:
         lens = ends - starts
-        keep = np.flatnonzero(np.repeat(mask, lens))
-        if keep.size == 0:
-            return annot_empty
-        dup = np.repeat((lens > 1).astype(np.int64), lens)[keep]
-        return pa.table({
-            "doc_id": b["doc_id"].combine_chunks().take(
-                pa.array(keep, pa.int64())),
-            "dup": pa.array(dup, pa.int64())})
-
-    def df_edge(g: pa.Table) -> pa.Table:
-        dup = np.full(g.num_rows, int(g.num_rows > 1), np.int64)
-        return pa.table({"doc_id": g["doc_id"],
+        dup = np.repeat((lens > 1).astype(np.int64), lens)
+        return pa.table({"doc_id": b["doc_id"],
                          "dup": pa.array(dup, pa.int64())})
 
     from zhtml_ray.stages.util import compact_blocks
@@ -226,35 +216,23 @@ def dup_ngrams(ds, n: int = 5):
     # compact_blocks / the 500k mask_dup_spans probe)
     annotated = compact_blocks(
         sorted_bucket_apply(rows, "gram", ["gram"],
-                            df_interior, df_edge, annot_empty))
+                            df_runs, annot_empty))
 
     # -------- pass 2: sort by doc_id; per-doc counts as run sums
     agg_empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "n_grams": pa.array([], pa.int64()),
                           "n_dup_grams": pa.array([], pa.int64())})
 
-    def agg_interior(b: pa.Table, starts, ends, mask) -> pa.Table:
-        if not mask.any():
-            return agg_empty
-        lens = ends - starts
+    def agg_runs(b: pa.Table, starts, ends) -> pa.Table:
         dup = b["dup"].combine_chunks().to_numpy(zero_copy_only=False)
-        sums = np.add.reduceat(dup, starts)
-        heads = b["doc_id"].combine_chunks().take(
-            pa.array(starts[mask], pa.int64()))
-        return pa.table({"doc_id": heads,
-                         "n_grams": pa.array(lens[mask], pa.int64()),
-                         "n_dup_grams": pa.array(sums[mask], pa.int64())})
-
-    def agg_edge(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         return pa.table({
-            "doc_id": g["doc_id"].slice(0, 1),
-            "n_grams": pa.array([g.num_rows], pa.int64()),
-            "n_dup_grams": pa.array(
-                [pc.sum(g["dup"]).as_py() or 0], pa.int64())})
+            "doc_id": b["doc_id"].take(pa.array(starts, pa.int64())),
+            "n_grams": pa.array(ends - starts, pa.int64()),
+            "n_dup_grams": pa.array(np.add.reduceat(dup, starts),
+                                    pa.int64())})
 
     agg = sorted_bucket_apply(annotated, "doc_id", ["doc_id"],
-                              agg_interior, agg_edge, agg_empty)
+                              agg_runs, agg_empty)
 
     def add_frac(b: pa.Table) -> pa.Table:
         ng = b["n_grams"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -396,21 +374,10 @@ def mask_dup_spans(ds, n: int = 10, gram_key: str = "hash"):
     dup_empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "pos": pa.array([], pa.int64())})
 
-    def dup_interior(b: pa.Table, starts, ends, mask) -> pa.Table:
+    def dup_runs(b: pa.Table, starts, ends) -> pa.Table:
         lens = ends - starts
-        keep_run = mask & (lens > 1)
-        if not keep_run.any():
-            return dup_empty
-        idx = np.concatenate(
-            [np.arange(s, e) for s, e
-             in zip(starts[keep_run], ends[keep_run])])
-        sel = b.take(pa.array(idx, pa.int64()))
-        return pa.table({"doc_id": sel["doc_id"], "pos": sel["pos"]})
-
-    def dup_edge(g: pa.Table) -> pa.Table:
-        if g.num_rows <= 1:
-            return dup_empty
-        return pa.table({"doc_id": g["doc_id"], "pos": g["pos"]})
+        keep = pa.array(np.repeat(lens > 1, lens))
+        return b.select(["doc_id", "pos"]).filter(keep)
 
     from zhtml_ray.stages.util import compact_blocks
 
@@ -419,40 +386,23 @@ def mask_dup_spans(ds, n: int = 10, gram_key: str = "hash"):
     # measured 420 s -> 28 s on the final join at 500k docs
     dups = compact_blocks(
         sorted_bucket_apply(rows, gcol, [gcol],
-                            dup_interior, dup_edge, dup_empty))
+                            dup_runs, dup_empty))
 
     pos_type = pa.list_(pa.int64())
     lists_empty = pa.table({"doc_id": pa.array([], pa.int64()),
                             "positions": pa.array([], pos_type)})
 
-    def fold_interior(b: pa.Table, starts, ends, mask) -> pa.Table:
-        if not mask.any():
-            return lists_empty
-        pos = b["pos"].combine_chunks()
-        heads = b["doc_id"].combine_chunks().take(
-            pa.array(starts[mask], pa.int64()))
-        arrs = [pos.slice(s, e - s)
-                for s, e in zip(starts[mask], ends[mask])]
-        offsets = np.r_[0, np.cumsum((ends - starts)[mask])]
-        vals = pa.concat_arrays([a.combine_chunks() if hasattr(
-            a, "combine_chunks") else a for a in arrs]) if arrs \
-            else pa.array([], pa.int64())
+    def fold_runs(b: pa.Table, starts, ends) -> pa.Table:
         lst = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), vals)
-        return pa.table({"doc_id": heads, "positions": lst})
-
-    def fold_edge(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        pos = pc.sort_indices(g, sort_keys=[("pos", "ascending")])
-        vals = g["pos"].take(pos).combine_chunks()
-        lst = pa.ListArray.from_arrays(
-            pa.array([0, g.num_rows], pa.int32()), vals)
-        return pa.table({"doc_id": g["doc_id"].slice(0, 1),
+            pa.array(np.r_[starts, ends[-1]], pa.int32()),
+            b["pos"].combine_chunks())
+        heads = pa.array(starts, pa.int64())
+        return pa.table({"doc_id": b["doc_id"].take(heads),
                          "positions": lst})
 
     pos_lists = compact_blocks(
         sorted_bucket_apply(dups, "doc_id", ["doc_id", "pos"],
-                            fold_interior, fold_edge, lists_empty))
+                            fold_runs, lists_empty))
 
     joined = sorted_lookup_join(ds, pos_lists, "doc_id", ["positions"],
                                 how="left")
@@ -519,24 +469,8 @@ def vocab_doc_freq(ds, k: int = 100):
     empty = pa.table({"word": pa.array([], pa.string()),
                       "df": pa.array([], pa.int64())})
 
-    def sum_interior(b: pa.Table, starts, ends, mask) -> pa.Table:
-        if not mask.any():
-            return empty
-        dfv = b["df"].combine_chunks().to_numpy(zero_copy_only=False)
-        sums = np.add.reduceat(dfv, starts)
-        heads = b["word"].combine_chunks().take(
-            pa.array(starts[mask], pa.int64()))
-        return pa.table({"word": heads,
-                         "df": pa.array(sums[mask], pa.int64())})
-
-    def sum_edge(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "word": g["word"].slice(0, 1),
-            "df": pa.array([pc.sum(g["df"]).as_py() or 0], pa.int64())})
-
     total = sorted_bucket_apply(partial, "word", ["word"],
-                                sum_interior, sum_edge, empty)
+                                _sum_runs("word", "df"), empty)
     return total.sort(["df", "word"], descending=[True, False]).limit(k)
 
 
@@ -569,6 +503,36 @@ def _pin6(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 1e6 + 0.5) / 1e6
 
 
+def _sum_runs(key: str, col: str):
+    """``sorted_bucket_apply`` run function: one (key, summed ``col``)
+    row per run."""
+    def runs(b: pa.Table, starts, ends) -> pa.Table:
+        v = b[col].combine_chunks().to_numpy(zero_copy_only=False)
+        return pa.table({key: b[key].take(pa.array(starts, pa.int64())),
+                         col: pa.array(np.add.reduceat(v, starts),
+                                       pa.int64())})
+    return runs
+
+
+def _lp_col(b: pa.Table) -> np.ndarray:
+    return b["lp"].combine_chunks().to_numpy(zero_copy_only=False)
+
+
+def _doc_mean_runs(count_col: str, logp):
+    """``sorted_bucket_apply`` run function of the over-budget LM
+    scorers: per doc run, its length as ``count_col`` and the 6-dp
+    pinned mean of ``logp(block)``."""
+    def runs(b: pa.Table, starts, ends) -> pa.Table:
+        lens = ends - starts
+        sums = np.add.reduceat(logp(b), starts)
+        return pa.table({
+            "doc_id": b["doc_id"].take(pa.array(starts, pa.int64())),
+            count_col: pa.array(lens, pa.int64()),
+            "mean_logprob": pa.array(
+                _pin6(sums / lens.astype(np.float64)), pa.float64())})
+    return runs
+
+
 def unigram_logprob(ds, broadcast_budget: int = 256 << 20):
     """Per-document mean unigram log-probability (KenLM-style corpus
     quality signal, unigram order): score(d) = mean over d's tokens of
@@ -593,26 +557,10 @@ def unigram_logprob(ds, broadcast_budget: int = 256 << 20):
     fempty = pa.table({"word": pa.array([], pa.string()),
                        "n": pa.array([], pa.int64())})
 
-    def sum_interior(b, starts, ends, mask):
-        if not mask.any():
-            return fempty
-        nv = b["n"].combine_chunks().to_numpy(zero_copy_only=False)
-        sums = np.add.reduceat(nv, starts)
-        heads = b["word"].combine_chunks().take(
-            pa.array(starts[mask], pa.int64()))
-        return pa.table({"word": heads,
-                         "n": pa.array(sums[mask], pa.int64())})
-
-    def sum_edge(g):
-        import pyarrow.compute as pc
-        return pa.table({"word": g["word"].slice(0, 1),
-                         "n": pa.array([pc.sum(g["n"]).as_py() or 0],
-                                       pa.int64())})
-
     from zhtml_ray.stages.util import compact_blocks
     freq = compact_blocks(
         sorted_bucket_apply(partial, "word", ["word"],
-                            sum_interior, sum_edge, fempty))
+                            _sum_runs("word", "n"), fempty))
     total = float(freq.sum("n") or 0)
     out_empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "n_tokens": pa.array([], pa.int64()),
@@ -660,35 +608,14 @@ def unigram_logprob(ds, broadcast_budget: int = 256 << 20):
     joined = compact_blocks(
         sorted_lookup_join(rows, freq, "word", ["n"]))
 
-    def doc_interior(b, starts, ends, mask):
-        if not mask.any():
-            return out_empty
+    def logp(b: pa.Table) -> np.ndarray:
         nv = b["n"].combine_chunks().to_numpy(
             zero_copy_only=False).astype(np.float64)
-        logp = np.log(nv / total)
-        sums = np.add.reduceat(logp, starts)
-        lens = (ends - starts)
-        heads = b["doc_id"].combine_chunks().take(
-            pa.array(starts[mask], pa.int64()))
-        nz = lens[mask].astype(np.float64)
-        return pa.table({
-            "doc_id": heads,
-            "n_tokens": pa.array(lens[mask], pa.int64()),
-            "mean_logprob": pa.array(_pin6(sums[mask] / nz),
-                                     pa.float64())})
-
-    def doc_edge(g):
-        nv = g["n"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        s = float(np.sum(np.log(nv / total)))
-        return pa.table({
-            "doc_id": g["doc_id"].slice(0, 1),
-            "n_tokens": pa.array([g.num_rows], pa.int64()),
-            "mean_logprob": pa.array(
-                _pin6(np.array([s / g.num_rows])), pa.float64())})
+        return np.log(nv / total)
 
     return sorted_bucket_apply(joined, "doc_id", ["doc_id"],
-                               doc_interior, doc_edge, out_empty)
+                               _doc_mean_runs("n_tokens", logp),
+                               out_empty)
 
 
 def pair_counts_batch(batch: pa.Table) -> pa.Table:
@@ -846,32 +773,9 @@ def bigram_logprob(ds, broadcast_budget: int = 256 << 20):
     rows = ds.map_batches(emit_pairs, batch_format="pyarrow")
     joined = compact_blocks(sorted_lookup_join(rows, lp, "key", ["lp"]))
 
-    def doc_interior(b, starts, ends, mask):
-        if not mask.any():
-            return out_empty
-        v = b["lp"].combine_chunks().to_numpy(zero_copy_only=False)
-        sums = np.add.reduceat(v, starts)
-        lens = ends - starts
-        heads = b["doc_id"].combine_chunks().take(
-            pa.array(starts[mask], pa.int64()))
-        return pa.table({
-            "doc_id": heads,
-            "n_bigrams": pa.array(lens[mask], pa.int64()),
-            "mean_logprob": pa.array(
-                _pin6(sums[mask] / lens[mask].astype(np.float64)),
-                pa.float64())})
-
-    def doc_edge(g):
-        import pyarrow.compute as pc2
-        s = float(pc2.sum(g["lp"]).as_py() or 0.0)
-        return pa.table({
-            "doc_id": g["doc_id"].slice(0, 1),
-            "n_bigrams": pa.array([g.num_rows], pa.int64()),
-            "mean_logprob": pa.array(
-                _pin6(np.array([s / g.num_rows])), pa.float64())})
-
     return sorted_bucket_apply(joined, "doc_id", ["doc_id"],
-                               doc_interior, doc_edge, out_empty)
+                               _doc_mean_runs("n_bigrams", _lp_col),
+                               out_empty)
 
 
 # ---------------------------------------------------- heavy_hitters
@@ -1159,29 +1063,6 @@ def trigram_logprob(ds, broadcast_budget: int = 256 << 20):
     rows = ds.map_batches(emit_triples, batch_format="pyarrow")
     joined = compact_blocks(sorted_lookup_join(rows, lp, "key", ["lp"]))
 
-    def doc_interior(b, starts, ends, mask):
-        if not mask.any():
-            return out_empty
-        v = b["lp"].combine_chunks().to_numpy(zero_copy_only=False)
-        sums = np.add.reduceat(v, starts)
-        lens = ends - starts
-        heads = b["doc_id"].combine_chunks().take(
-            pa.array(starts[mask], pa.int64()))
-        return pa.table({
-            "doc_id": heads,
-            "n_trigrams": pa.array(lens[mask], pa.int64()),
-            "mean_logprob": pa.array(
-                _pin6(sums[mask] / lens[mask].astype(np.float64)),
-                pa.float64())})
-
-    def doc_edge(g):
-        import pyarrow.compute as pc2
-        s = float(pc2.sum(g["lp"]).as_py() or 0.0)
-        return pa.table({
-            "doc_id": g["doc_id"].slice(0, 1),
-            "n_trigrams": pa.array([g.num_rows], pa.int64()),
-            "mean_logprob": pa.array(
-                _pin6(np.array([s / g.num_rows])), pa.float64())})
-
     return sorted_bucket_apply(joined, "doc_id", ["doc_id"],
-                               doc_interior, doc_edge, out_empty)
+                               _doc_mean_runs("n_trigrams", _lp_col),
+                               out_empty)

@@ -943,15 +943,14 @@ def triangle_stats(edges):
     okeys = compact_blocks(oriented.map_batches(edge_keys,
                                                 batch_format="pyarrow"))
 
-    def _pairs(v: pa.Array, dv: np.ndarray, starts: np.ndarray,
-               run_mask: np.ndarray, n: int) -> pa.Table:
-        """All (i < j) index pairs within masked runs, pure integer
+    def wedge_pairs(b: pa.Table, starts, ends) -> pa.Table:
+        """All (i < j) index pairs within each run, pure integer
         vectors: a row at within-run position k is the SECOND element
         of k pairs whose firsts are the k rows before it."""
-        run_of = np.repeat(np.arange(len(starts)),
-                           np.diff(np.r_[starts, n]))
-        wpos = np.arange(n) - starts[run_of]
-        rep = np.where(run_mask[run_of], wpos, 0)
+        v = b["v"].combine_chunks()
+        dv = b["dv"].combine_chunks().to_numpy(zero_copy_only=False)
+        n = b.num_rows
+        rep = np.arange(n) - np.repeat(starts, ends - starts)
         tot = int(rep.sum())
         if tot == 0:
             return pa.table({"wkey": pa.array([], pa.string()),
@@ -973,22 +972,8 @@ def triangle_stats(edges):
     empty_pairs = pa.table({"wkey": pa.array([], pa.string()),
                             "one": pa.array([], pa.int8())})
 
-    def interior_fn(b: pa.Table, starts, ends, mask) -> pa.Table:
-        return _pairs(b["v"].combine_chunks(),
-                      b["dv"].combine_chunks().to_numpy(
-                          zero_copy_only=False),
-                      starts, mask, b.num_rows)
-
-    def edge_fn(g: pa.Table) -> pa.Table:
-        g = g.sort_by("v")
-        return _pairs(g["v"].combine_chunks(),
-                      g["dv"].combine_chunks().to_numpy(
-                          zero_copy_only=False),
-                      np.array([0], np.int64),
-                      np.array([True]), g.num_rows)
-
     wedge_keys = compact_blocks(sorted_bucket_apply(
-        oriented, "u", ["u", "v"], interior_fn, edge_fn, empty_pairs))
+        oriented, "u", ["u", "v"], wedge_pairs, empty_pairs))
 
     if wedge_keys.count() == 0:
         n_tri = 0
@@ -1217,20 +1202,12 @@ def cocitation_topk(edges, k: int = 20, min_common: int = 2,
     empty = pa.table({"key_a": pa.array([], pa.string()),
                       "key_b": pa.array([], pa.string())})
 
-    def interior(b, starts, ends, mask):
-        K = b["dst"].combine_chunks()
-        return _bucket_pairs_np(K, b.num_rows, starts, ends, mask,
+    def dst_pairs(b, starts, ends):
+        return _bucket_pairs_np(b["dst"].combine_chunks(), starts, ends,
                                 clique_limit)
 
-    def edge(g: pa.Table) -> pa.Table:
-        K = g["dst"].combine_chunks()
-        K = K.take(pc.sort_indices(K))
-        return _bucket_pairs_np(K, len(K), np.asarray([0]),
-                                np.asarray([len(K)]),
-                                np.asarray([True]), clique_limit)
-
     pairs = sorted_bucket_apply(edges, "src", ["src", "dst"],
-                                interior, edge, empty)
+                                dst_pairs, empty)
 
     def ones(b: pa.Table) -> pa.Table:
         return b.append_column(

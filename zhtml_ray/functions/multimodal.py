@@ -471,22 +471,12 @@ def phash_neardup(ds, max_hamming: int = 3, decode=None,
     empty = pa.table({"key_a": pa.array([], pa.int64()),
                       "key_b": pa.array([], pa.int64())})
 
-    def interior_pairs(b, starts, ends, runs_mask):
-        K = b["media_id"].combine_chunks()
-        return _bucket_pairs_np(K, b.num_rows, starts, ends, runs_mask,
-                                clique_limit=clique_limit)
-
-    def edge_pairs(g: pa.Table) -> pa.Table:
-        K = g["media_id"].combine_chunks()
-        K = K.take(pc.sort_indices(K))
-        return _bucket_pairs_np(K, len(K), np.asarray([0]),
-                                np.asarray([len(K)]),
-                                np.asarray([True]),
-                                clique_limit=clique_limit)
+    def pairs_of(b, starts, ends):
+        return _bucket_pairs_np(b["media_id"].combine_chunks(), starts,
+                                ends, clique_limit=clique_limit)
 
     pairs = dedup_candidate_pairs(sorted_bucket_apply(
-        exploded, "bucket", ["bucket", "media_id"],
-        interior_pairs, edge_pairs, empty))
+        exploded, "bucket", ["bucket", "media_id"], pairs_of, empty))
     if pairs.count() == 0:
         # no candidate pair: the emptied blocks carry no schema for the
         # lookup joins below, so answer with the typed empty result

@@ -192,12 +192,10 @@ def postings_table(ds, text_col: str = "text", key: str = "doc_id",
     doc)`` is globally unique) → ONE range-shuffle sort on
     ``(term, doc_id)`` → block-local C-speed run assembly into
     ListArrays via ``sorted_bucket_apply`` (edge terms — at most two
-    per block plus hot stopwords — resolve whole in the bounded
-    per-group pass). ``term_bucket`` is a blake2b content hash mod
+    per block plus hot stopwords — resolve whole in its bounded
+    regroup pass). ``term_bucket`` is a blake2b content hash mod
     ``n_buckets``: the Hive partition key ``build_inverted_index``
     writes under, so probes open only matching partitions."""
-    import pyarrow.compute as pc
-
     from zhtml_ray.functions.corpusstats import _split_encode
     from zhtml_ray.functions.sketch import word_hash64
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
@@ -228,14 +226,12 @@ def postings_table(ds, text_col: str = "text", key: str = "doc_id",
                       "doc_ids": pa.array([], pa.list_(pa.int64())),
                       "tfs": pa.array([], pa.list_(pa.int64()))})
 
-    def _assemble(terms: pa.Array, ids: np.ndarray, tfs: np.ndarray,
-                  starts: np.ndarray, ends: np.ndarray) -> pa.Table:
-        off = np.zeros(len(starts) + 1, np.int64)
-        np.cumsum(ends - starts, out=off[1:])
-        pos = np.concatenate(
-            [np.arange(s, e) for s, e in zip(starts, ends)]) \
-            if len(starts) else np.zeros(0, np.int64)
-        toff = pa.array(off, pa.int64())
+    def postings(b: pa.Table, starts, ends) -> pa.Table:
+        # the runs tile b in (term, key) order: the run bounds are the
+        # list offsets over the doc and tf columns as they stand
+        terms = b["term"].combine_chunks().take(
+            pa.array(starts, pa.int64()))
+        off = pa.array(np.r_[starts, ends[-1]], pa.int32())
         return pa.table({
             "term": terms,
             # % must stay in uint64: numpy promotes uint64 % pyint
@@ -245,30 +241,11 @@ def postings_table(ds, text_col: str = "text", key: str = "doc_id",
                 .astype(np.int64)),
             "df": pa.array(ends - starts, pa.int64()),
             "doc_ids": pa.ListArray.from_arrays(
-                toff, pa.array(ids[pos], pa.int64())),
-            "tfs": pa.ListArray.from_arrays(
-                toff, pa.array(tfs[pos], pa.int64()))})
-
-    def interior(b: pa.Table, starts, ends, mask) -> pa.Table:
-        starts, ends = starts[mask], ends[mask]
-        if len(starts) == 0:
-            return empty
-        terms = b["term"].combine_chunks().take(
-            pa.array(starts, pa.int64()))
-        ids = b[key].combine_chunks().to_numpy(zero_copy_only=False)
-        tfs = b["tf"].combine_chunks().to_numpy(zero_copy_only=False)
-        return _assemble(terms, ids, tfs, starts, ends)
-
-    def edge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("term", "ascending"), (key, "ascending")])
-        return _assemble(
-            g["term"].combine_chunks().slice(0, 1),
-            g[key].combine_chunks().to_numpy(zero_copy_only=False),
-            g["tf"].combine_chunks().to_numpy(zero_copy_only=False),
-            np.array([0], np.int64), np.array([g.num_rows], np.int64))
+                off, b[key].combine_chunks()),
+            "tfs": pa.ListArray.from_arrays(off, b["tf"].combine_chunks())})
 
     return sorted_bucket_apply(pairs, "term", ["term", key],
-                               interior, edge, empty)
+                               postings, empty)
 
 
 def build_inverted_index(ds, out_dir: str, text_col: str = "text",

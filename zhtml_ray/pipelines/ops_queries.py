@@ -1217,10 +1217,9 @@ def q_paragraph_dedup(sf_dir: str):
     re-chunked ListArray -> binary_join, no per-row Python); only
     (sha1, rank) travels through the winner shuffle (sort-based
     grouped-first, the house primitive); reassembly is ONE range sort
-    + block-local run joins with the bounded edge pass
-    (sorted_bucket_apply). Nothing materializes on the driver. Engine
-    groups by sha1(para) while the SQL oracle groups by the paragraph
-    text itself — equivalent modulo SHA-1 collisions (same precedent
+    + per-doc run joins (sorted_bucket_apply). Nothing materializes on
+    the driver. Engine groups by sha1(para) while the SQL oracle
+    groups by the paragraph text itself — equivalent modulo SHA-1 collisions (same precedent
     as corpus_prep/exact_dedup)."""
     import hashlib
 
@@ -1285,40 +1284,21 @@ def q_paragraph_dedup(sf_dir: str):
                       num_partitions=sized_partitions(total),
                       on=("phash", "rank"))
 
-    def interior(b: pa.Table, starts, ends, mask) -> pa.Table:
-        s = starts[mask]
-        e = ends[mask]
-        if len(s) == 0:
-            return out_schema
-        para = b["para"].combine_chunks()
-        # paragraphs of one doc are contiguous after the sort; join
-        # each run into its clean text (order within run = pid order)
-        offsets = pa.array(np.r_[s, 0][:-1], pa.int32())             if False else None
-        # build per-run list offsets over a TAKEN contiguous values
-        # array (runs may be non-adjacent after masking)
-        idx = np.concatenate([np.arange(a, z) for a, z in zip(s, e)])
-        vals = para.take(pa.array(idx, pa.int64()))
-        lens = (e - s).astype(np.int64)
-        loffs = pa.array(np.r_[0, np.cumsum(lens)], pa.int32())
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(loffs, vals), " ")
-        heads = b["doc_id"].combine_chunks().take(
-            pa.array(s, pa.int64()))
-        return pa.table({"doc_id": heads, "clean_text": joined,
-                         "n_paras_kept": pa.array(lens, pa.int64())})
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("pid", "ascending")])
-        g = g.take(order)
-        txt = " ".join(g["para"].to_pylist())
-        return pa.table({
-            "doc_id": pa.array([g["doc_id"][0].as_py()], pa.int64()),
-            "clean_text": pa.array([txt], pa.string()),
-            "n_paras_kept": pa.array([g.num_rows], pa.int64())})
+    def clean_texts(b: pa.Table, starts, ends) -> pa.Table:
+        # paragraphs of one doc are contiguous after the sort, in pid
+        # order: join each run into its clean text
+        joined = pc.binary_join(pa.ListArray.from_arrays(
+            pa.array(np.r_[starts, ends[-1]], pa.int32()),
+            b["para"].combine_chunks()), " ")
+        return pa.table({"doc_id": b["doc_id"].take(
+                             pa.array(starts, pa.int64())),
+                         "clean_text": joined,
+                         "n_paras_kept": pa.array(ends - starts,
+                                                  pa.int64())})
 
     return sorted_bucket_apply(
         kept.select_columns(["doc_id", "pid", "para"]),
-        "doc_id", ["doc_id", "pid"], interior, edge, out_schema)
+        "doc_id", ["doc_id", "pid"], clean_texts, out_schema)
 
 
 SQL_PARAGRAPH_DEDUP = """
@@ -2438,7 +2418,7 @@ def q_event_lag(sf_dir: str):
                       "user_id": pa.array([], pa.int64()),
                       "lag_s": pa.array([], pa.float64())})
 
-    def lag_of(b: pa.Table) -> pa.Table:
+    def lag_of(b: pa.Table, starts, ends) -> pa.Table:
         t = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         u = b["user_id"].to_numpy(zero_copy_only=False)
         lag = np.empty(len(t), np.float64)
@@ -2449,18 +2429,9 @@ def q_event_lag(sf_dir: str):
             "event_id": b["event_id"], "user_id": b["user_id"],
             "lag_s": pa.array(lag, pa.float64(), mask=np.isnan(lag))})
 
-    def interior(b, starts, ends, mask):
-        rows = lag_of(b)
-        return rows.filter(pa.array(np.repeat(mask, ends - starts)))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("ts", "ascending"),
-                                              ("event_id", "ascending")])
-        return lag_of(g.take(order))
-
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "ts", "event_id"],
-                               interior, edge, empty)
+                               lag_of, empty)
 
 
 SQL_EVENT_LAG = """
@@ -2478,14 +2449,13 @@ def q_events_cumsum(sf_dir: str):
     the `event_lag` shape: ONE range-shuffle sort on (user, ts,
     event_id), vectorized block-local np.cumsum with per-run rebasing
     for users fully inside a block, per-group pass only for the ≤ 2
-    users straddling each block edge (the whole straddling group
-    reaches ``edge_fn``, so no cross-block carry protocol is needed).
+    users straddling each block edge (each user's run arrives whole,
+    so no cross-block carry protocol is needed).
     The float total is decimal-pinned identically on both sides (the
     q1 convention) — sequential np.cumsum and DuckDB's windowed
     segment-tree sum legitimately differ in last-ulp association."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
 
@@ -2506,19 +2476,9 @@ def q_events_cumsum(sf_dir: str):
                          "user_id": b["user_id"],
                          "cum_value": pa.array(cum, pa.float64())})
 
-    def interior(b, starts, ends, mask):
-        rows = cum_of(b, starts, ends)
-        return rows.filter(pa.array(np.repeat(mask, ends - starts)))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("ts", "ascending"),
-                                              ("event_id", "ascending")])
-        return cum_of(g.take(order), np.zeros(1, np.int64),
-                      np.asarray([g.num_rows], np.int64))
-
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "ts", "event_id"],
-                               interior, edge, empty)
+                               cum_of, empty)
 
 
 SQL_EVENTS_CUMSUM = """
@@ -2595,7 +2555,6 @@ def events_moving_avg(ds, w: int = 3):
     the unstable 0.5, so the pin is exact."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
 
     empty = pa.table({"event_id": pa.array([], pa.int64()),
@@ -2615,19 +2574,9 @@ def events_moving_avg(ds, w: int = 3):
                          "user_id": b["user_id"],
                          "mavg_value": pa.array(m, pa.float64())})
 
-    def interior(b, starts, ends, mask):
-        rows = mavg_of(b, starts, ends)
-        return rows.filter(pa.array(np.repeat(mask, ends - starts)))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("ts", "ascending"),
-                                              ("event_id", "ascending")])
-        return mavg_of(g.take(order), np.zeros(1, np.int64),
-                       np.asarray([g.num_rows], np.int64))
-
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "ts", "event_id"],
-                               interior, edge, empty)
+                               mavg_of, empty)
 
 
 def q_events_moving_avg(sf_dir: str):
@@ -2711,19 +2660,9 @@ def events_range_window(ds, window_s: int = 3600):
                          "w_sum": pa.array(w_sum, pa.float64()),
                          "w_cnt": pa.array(hi - lo, pa.int64())})
 
-    def interior(b, starts, ends, mask):
-        rows = win_of(b, starts, ends)
-        return rows.filter(pa.array(np.repeat(mask, ends - starts)))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("ts", "ascending"),
-                                              ("event_id", "ascending")])
-        return win_of(g.take(order), np.zeros(1, np.int64),
-                      np.asarray([g.num_rows], np.int64))
-
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "ts", "event_id"],
-                               interior, edge, empty)
+                               win_of, empty)
 
 
 def q_events_range_window(sf_dir: str):
@@ -2819,7 +2758,7 @@ def events_window_join(ds, window_s: int = 86_400,
         cm = pc.equal(kind, build_type).to_numpy(
             zero_copy_only=False)
         if not pm.any() or not cm.any():
-            return empty, np.zeros(0, np.int64)
+            return empty
         pts, prun, pid = ts[pm], run_id[pm], eid[pm]
         cts, crun, cid = ts[cm], run_id[cm], eid[cm]
         lo = _per_run_rank(cts, crun, pts - W, prun,
@@ -2828,32 +2767,18 @@ def events_window_join(ds, window_s: int = 86_400,
         cnt = hi - lo
         total = int(cnt.sum())
         if total == 0:
-            return empty, prun
+            return empty
         off = np.repeat(np.cumsum(cnt) - cnt, cnt)
         ci = np.repeat(lo, cnt) + (np.arange(total) - off)
         pi = np.repeat(np.arange(len(pts)), cnt)
         lag = (np.repeat(pts, cnt) - cts[ci]).astype(np.float64) / 1e6
         return pa.table({"purchase_id": pa.array(pid[pi], pa.int64()),
                          "click_id": pa.array(cid[ci], pa.int64()),
-                         "lag_s": pa.array(lag, pa.float64())}), \
-            prun[pi]
-
-    def interior(b, starts, ends, mask):
-        rows, prun = pairs_of(b, starts, ends)
-        if rows.num_rows == 0:
-            return rows if isinstance(rows, pa.Table) else empty
-        return rows.filter(pa.array(mask[prun]))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[
-            ("ts", "ascending"), ("event_id", "ascending")])
-        rows, _ = pairs_of(g.take(order), np.zeros(1, np.int64),
-                           np.asarray([g.num_rows], np.int64))
-        return rows
+                         "lag_s": pa.array(lag, pa.float64())})
 
     return sorted_bucket_apply(both, "user_id",
                                ["user_id", "ts", "event_id"],
-                               interior, edge, empty)
+                               pairs_of, empty)
 
 
 def events_dedup_window(ds, window_s: int = 172_800):
@@ -2880,45 +2805,22 @@ def events_dedup_window(ds, window_s: int = 172_800):
                       "user_id": pa.array([], pa.int64()),
                       "event_type": pa.array([], pa.string())})
 
-    def kept_of(b: pa.Table, run_id: np.ndarray) -> np.ndarray:
+    def kept_of(b: pa.Table, starts, ends) -> pa.Table:
         ts = pc.cast(b["ts"], pa.int64()).to_numpy(
             zero_copy_only=False)
         tcode = b["event_type"].combine_chunks().dictionary_encode() \
             .indices.to_numpy(zero_copy_only=False)
-        first = np.empty(b.num_rows, bool)
-        first[0] = True
-        first[1:] = (run_id[1:] != run_id[:-1]) | \
-            (tcode[1:] != tcode[:-1])
-        keep = first.copy()
-        keep[1:] |= ts[:-1] < ts[1:] - W
-        return keep
-
-    def interior(b, starts, ends, mask):
-        if b.num_rows == 0:
-            return empty
-        run_id = np.repeat(np.arange(len(starts), dtype=np.int64),
-                           ends - starts)
-        keep = kept_of(b, run_id) & np.repeat(mask, ends - starts)
-        t = b.filter(pa.array(keep))
-        return pa.table({"event_id": t["event_id"],
-                         "user_id": t["user_id"],
-                         "event_type": t["event_type"]})
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[
-            ("event_type", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        t = g.take(order)
-        keep = kept_of(t, np.zeros(t.num_rows, np.int64))
-        t = t.filter(pa.array(keep))
-        return pa.table({"event_id": t["event_id"],
-                         "user_id": t["user_id"],
-                         "event_type": t["event_type"]})
+        # a (user, type) run starts at a user run or a type change
+        keep = np.zeros(b.num_rows, bool)
+        keep[starts] = True
+        keep[1:] |= (tcode[1:] != tcode[:-1]) | (ts[:-1] < ts[1:] - W)
+        return b.select(["event_id", "user_id", "event_type"]) \
+            .filter(pa.array(keep))
 
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "event_type", "ts",
                                 "event_id"],
-                               interior, edge, empty)
+                               kept_of, empty)
 
 
 def q_event_dedup_window(sf_dir: str):
@@ -2998,24 +2900,15 @@ def events_funnel(ds, stages=_FUNNEL_STAGES):
             thr = np.repeat(tk, lens)  # unreached stays INF → no match
         return out
 
-    def partial(reached: list[np.ndarray],
-                mask: np.ndarray) -> pa.Table:
+    def partial(b: pa.Table, starts, ends) -> pa.Table:
         return pa.table({
             "stage": pa.array(list(stages), pa.string()),
-            "part": pa.array([int((r & mask).sum()) for r in reached],
+            "part": pa.array([int(r.sum()) for r in
+                              stage_reached(b, starts, ends)],
                              pa.int64())})
 
-    def interior(b, starts, ends, mask):
-        return partial(stage_reached(b, starts, ends), mask)
-
-    def edge(g: pa.Table) -> pa.Table:
-        # order-independent (value-based mins/thresholds) — no re-sort
-        return partial(stage_reached(g, np.zeros(1, np.int64),
-                                     np.asarray([g.num_rows], np.int64)),
-                       np.ones(1, bool))
-
     parts = sorted_bucket_apply(ds, "user_id", ["user_id", "ts"],
-                                interior, edge, empty)
+                                partial, empty)
     agg = parts.groupby("stage").aggregate(Sum("part",
                                                alias_name="users"))
     return agg.to_pandas().sort_values("stage").reset_index(drop=True)
@@ -3102,19 +2995,9 @@ def q_events_value_rank(sf_dir: str):
                                          pa.int64()),
                          "drnk": pa.array(drnk, pa.int64())})
 
-    def interior(b, starts, ends, mask):
-        rows = ranks_of(b, starts, ends)
-        return rows.filter(pa.array(np.repeat(mask, ends - starts)))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("neg", "ascending"),
-                                              ("event_id", "ascending")])
-        return ranks_of(g.take(order), np.zeros(1, np.int64),
-                        np.asarray([g.num_rows], np.int64))
-
     return sorted_bucket_apply(prepped, "user_id",
                                ["user_id", "neg", "event_id"],
-                               interior, edge, empty)
+                               ranks_of, empty)
 
 
 SQL_EVENTS_VALUE_RANK = """
@@ -3853,9 +3736,7 @@ def q_user_first_last(sf_dir: str):
     interior runs read their endpoints directly, edge-straddling
     users resolve whole in the per-group pass. No second shuffle, no
     driver-side merge of two grouped-first outputs."""
-    import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
@@ -3868,29 +3749,17 @@ def q_user_first_last(sf_dir: str):
                       "first_type": pa.array([], pa.string()),
                       "last_type": pa.array([], pa.string())})
 
-    def interior(b: pa.Table, starts, ends, mask):
-        if not mask.any():
-            return empty
+    def first_last(b: pa.Table, starts, ends):
         types = b["event_type"].combine_chunks()
-        users = b["user_id"].combine_chunks()
-        s = pa.array(starts[mask], pa.int64())
-        e = pa.array(ends[mask] - 1, pa.int64())
-        return pa.table({"user_id": users.take(s),
+        s = pa.array(starts, pa.int64())
+        return pa.table({"user_id": b["user_id"].take(s),
                          "first_type": types.take(s),
-                         "last_type": types.take(e)})
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("ts", "ascending"),
-                                              ("event_id", "ascending")])
-        t = g["event_type"].combine_chunks()
-        return pa.table({
-            "user_id": g["user_id"][:1],
-            "first_type": t.take(order[:1]),
-            "last_type": t.take(order[-1:])})
+                         "last_type": types.take(
+                             pa.array(ends - 1, pa.int64()))})
 
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "ts", "event_id"],
-                               interior, edge, empty)
+                               first_last, empty)
 
 
 SQL_USER_FIRST_LAST = """
@@ -3916,7 +3785,6 @@ def q_user_median_value(sf_dir: str):
     branches exact)."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
@@ -3927,36 +3795,19 @@ def q_user_median_value(sf_dir: str):
     empty = pa.table({"user_id": pa.array([], pa.int64()),
                       "med_value": pa.array([], pa.float64())})
 
-    def med_of(v: np.ndarray, starts: np.ndarray,
-               lens: np.ndarray) -> np.ndarray:
-        h = (lens - 1) * 0.5
+    def med_of(b: pa.Table, starts, ends) -> pa.Table:
+        v = b["value"].to_numpy(zero_copy_only=False)
+        h = (ends - starts - 1) * 0.5
         k0 = np.floor(h).astype(np.int64)
         f = h - k0
         lo = v[starts + k0]
         hi = v[starts + np.ceil(h).astype(np.int64)]
-        return lo * (1 - f) + hi * f
-
-    def interior(b: pa.Table, starts, ends, mask):
-        if not mask.any():
-            return empty
-        v = b["value"].to_numpy(zero_copy_only=False)
-        users = b["user_id"].combine_chunks()
-        med = med_of(v, starts[mask], (ends - starts)[mask])
         return pa.table({
-            "user_id": users.take(pa.array(starts[mask], pa.int64())),
-            "med_value": pa.array(med, pa.float64())})
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("value", "ascending")])
-        v = g["value"].combine_chunks().take(order) \
-            .to_numpy(zero_copy_only=False)
-        med = med_of(v, np.zeros(1, np.int64),
-                     np.asarray([g.num_rows], np.int64))
-        return pa.table({"user_id": g["user_id"][:1],
-                         "med_value": pa.array(med, pa.float64())})
+            "user_id": b["user_id"].take(pa.array(starts, pa.int64())),
+            "med_value": pa.array(lo * (1 - f) + hi * f, pa.float64())})
 
     return sorted_bucket_apply(ds, "user_id", ["user_id", "value"],
-                               interior, edge, empty)
+                               med_of, empty)
 
 
 SQL_USER_MEDIAN_VALUE = """
@@ -5764,7 +5615,6 @@ def q_events_ntile(sf_dir: str):
     users resolve whole in the bounded per-group pass."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
@@ -5802,19 +5652,9 @@ def q_events_ntile(sf_dir: str):
                          "prk": pa.array(prk, pa.float64()),
                          "cd": pa.array(rn / n, pa.float64())})
 
-    def interior(b, starts, ends, mask):
-        rows = windows_of(b, starts, ends)
-        return rows.filter(pa.array(np.repeat(mask, ends - starts)))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("value", "ascending"),
-                                              ("event_id", "ascending")])
-        return windows_of(g.take(order), np.zeros(1, np.int64),
-                          np.asarray([g.num_rows], np.int64))
-
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "value", "event_id"],
-                               interior, edge, empty)
+                               windows_of, empty)
 
 
 SQL_EVENTS_NTILE = """
@@ -5842,7 +5682,7 @@ def q_user_event_path(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from zhtml_ray.stages.sortagg import sorted_bucket_apply
+    from zhtml_ray.stages.sortagg import head_index, sorted_bucket_apply
 
     CAP = 20
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -5853,36 +5693,21 @@ def q_user_event_path(sf_dir: str):
                       "path": pa.array([], pa.string()),
                       "n_events": pa.array([], pa.int64())})
 
-    def paths_of(b: pa.Table, starts: np.ndarray,
-                 ends: np.ndarray) -> pa.Table:
+    def paths_of(b: pa.Table, starts, ends) -> pa.Table:
         lens = ends - starts
-        take_n = np.minimum(lens, CAP)
-        idx = np.concatenate([np.arange(s, s + t)
-                              for s, t in zip(starts, take_n)]) \
-            if len(starts) else np.empty(0, np.int64)
         vals = b["event_type"].combine_chunks().take(
-            pa.array(idx, pa.int64()))
-        offsets = pa.array(np.r_[0, np.cumsum(take_n)], pa.int32())
-        la = pa.ListArray.from_arrays(offsets, vals)
+            pa.array(head_index(starts, ends, CAP), pa.int64()))
+        offsets = pa.array(np.r_[0, np.cumsum(np.minimum(lens, CAP))],
+                           pa.int32())
         return pa.table({
-            "user_id": b["user_id"].combine_chunks().take(
-                pa.array(starts, pa.int64())),
-            "path": pc.binary_join(la, ">"),
+            "user_id": b["user_id"].take(pa.array(starts, pa.int64())),
+            "path": pc.binary_join(
+                pa.ListArray.from_arrays(offsets, vals), ">"),
             "n_events": pa.array(lens, pa.int64())})
-
-    def interior(b, starts, ends, mask):
-        rows = paths_of(b, starts, ends)
-        return rows.filter(pa.array(mask))
-
-    def edge(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(g, sort_keys=[("ts", "ascending"),
-                                              ("event_id", "ascending")])
-        return paths_of(g.take(order), np.zeros(1, np.int64),
-                        np.asarray([g.num_rows], np.int64))
 
     return sorted_bucket_apply(ds, "user_id",
                                ["user_id", "ts", "event_id"],
-                               interior, edge, empty)
+                               paths_of, empty)
 
 
 SQL_USER_EVENT_PATH = """
@@ -7116,14 +6941,13 @@ def q_event_trigrams(sf_dir: str, k: int = 20):
     empty = pa.table({"trigram": pa.array([], pa.string()),
                       "cnt": pa.array([], pa.int64())})
 
-    def _emit(types: pa.Array, run_id: np.ndarray) -> pa.Table:
-        n = len(run_id)
-        if n < 3:
-            return empty
+    def trigrams_of(b: pa.Table, starts, ends) -> pa.Table:
+        run_id = np.repeat(np.arange(len(starts)), ends - starts)
         ok = (run_id[:-2] == run_id[1:-1]) & (run_id[1:-1] == run_id[2:])
         pos = np.flatnonzero(ok)
         if pos.size == 0:
             return empty
+        types = b["event_type"].combine_chunks()
         tri = pc.binary_join_element_wise(
             types.take(pa.array(pos, pa.int64())),
             types.take(pa.array(pos + 1, pa.int64())),
@@ -7132,24 +6956,9 @@ def q_event_trigrams(sf_dir: str, k: int = 20):
             .aggregate([("trigram", "count")])
         return g.rename_columns(["trigram", "cnt"])
 
-    def interior(b: pa.Table, starts, ends, mask) -> pa.Table:
-        lens = ends - starts
-        run_id = np.repeat(
-            np.where(mask, np.arange(len(starts)), -1), lens)
-        # edge runs get run_id -1; -1 == -1 would splice two edge runs
-        # only if adjacent, and both are excluded anyway via distinct
-        # negatives per run:
-        run_id[run_id < 0] = -(np.flatnonzero(run_id < 0) + 1)
-        return _emit(b["event_type"].combine_chunks(), run_id)
-
-    def edge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("ts", "ascending"), ("event_id", "ascending")])
-        return _emit(g["event_type"].combine_chunks(),
-                     np.zeros(g.num_rows, np.int64))
-
     parts = sorted_bucket_apply(ds, "user_id",
                                 ["user_id", "ts", "event_id"],
-                                interior, edge, empty)
+                                trigrams_of, empty)
     cnt = compact_blocks(sorted_sum_per_group(compact_blocks(parts),
                                               ["trigram"], ["cnt"]))
 

@@ -2991,7 +2991,7 @@ def q21_single_blame(sf_dir: str, days: int = 60, k: int = 20):
       3. ``sorted_bucket_apply`` on o_orderkey: the per-order
          blamed-supplier rule runs VECTORIZED inside each block
          (np.reduceat over (order, supplier) sub-runs), block-edge
-         orders resolve in the bounded per-group pass;
+         orders resolve whole in its bounded regroup pass;
       4. blamed counts per supplier via ``sorted_sum_per_group`` +
          a final name-attach shuffle; only the top-k reaches the
          driver."""
@@ -3038,52 +3038,26 @@ def q21_single_blame(sf_dir: str, days: int = 60, k: int = 20):
 
     empty = pa.table({"l_suppkey": pa.array([], pa.int64())})
 
-    def _blame(o, s, late):
-        """Vector core: (order, supp, late) rows SORTED by (o, s) →
-        blamed supplier per qualifying order, plus the order-run start
-        offsets so the caller can mask interior runs."""
-        n = len(o)
-        pair_new = np.r_[True, (o[1:] != o[:-1]) | (s[1:] != s[:-1])]
-        p_starts = np.flatnonzero(pair_new)
-        late_any = np.maximum.reduceat(late, p_starts) if n else \
-            np.zeros(0, np.int8)
-        po = o[p_starts]
-        o_starts = np.flatnonzero(np.r_[True, po[1:] != po[:-1]]) \
-            if len(po) else np.zeros(0, np.int64)
-        ns = np.diff(np.r_[o_starts, len(p_starts)])
-        nl = np.add.reduceat(late_any, o_starts) if len(po) else ns
-        q = (ns >= 2) & (nl == 1)
-        q_per_pair = np.repeat(q, ns)
-        blamed = p_starts[q_per_pair & (late_any == 1)]
-        return blamed, p_starts, o_starts, q
-
-    def interior_fn(b, starts, ends, mask) -> pa.Table:
+    def blamed_of(b, starts, ends) -> pa.Table:
+        """(order, supp, late) rows SORTED by (o, s) → the blamed
+        supplier of every order with >= 2 suppliers, exactly one late
+        (np.reduceat over the (order, supplier) sub-runs)."""
         o = b["o_orderkey"].to_numpy(zero_copy_only=False)
         s = b["l_suppkey"].to_numpy(zero_copy_only=False)
         late = b["late"].to_numpy(zero_copy_only=False)
-        blamed, _, _, _ = _blame(o, s, late)
-        if not len(blamed):
-            return empty
-        # keep only blamed rows whose ORDER run is interior (mask)
-        run_of = np.searchsorted(starts, blamed, side="right") - 1
-        keep = blamed[mask[run_of]]
-        return pa.table({"l_suppkey": pa.array(s[keep], pa.int64())})
-
-    def edge_fn(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=[("o_orderkey", "ascending"),
-                                            ("l_suppkey", "ascending")])
-        g = g.take(idx)
-        o = g["o_orderkey"].to_numpy(zero_copy_only=False)
-        s = g["l_suppkey"].to_numpy(zero_copy_only=False)
-        late = g["late"].to_numpy(zero_copy_only=False)
-        blamed, _, _, _ = _blame(o, s, late)
-        if not len(blamed):
-            return empty
+        p_starts = np.flatnonzero(
+            np.r_[True, (o[1:] != o[:-1]) | (s[1:] != s[:-1])])
+        late_any = np.maximum.reduceat(late, p_starts)
+        po = o[p_starts]
+        o_starts = np.flatnonzero(np.r_[True, po[1:] != po[:-1]])
+        ns = np.diff(np.r_[o_starts, len(p_starts)])
+        q = (ns >= 2) & (np.add.reduceat(late_any, o_starts) == 1)
+        blamed = p_starts[np.repeat(q, ns) & (late_any == 1)]
         return pa.table({"l_suppkey": pa.array(s[blamed], pa.int64())})
 
     blamed_ds = sorted_bucket_apply(
         flags, "o_orderkey", ["o_orderkey", "l_suppkey"],
-        interior_fn, edge_fn, empty)
+        blamed_of, empty)
 
     def cnt_partial(b: pa.Table) -> pa.Table:
         g = pa.table({"s_suppkey": b["l_suppkey"]}) \

@@ -1,4 +1,4 @@
-"""Sort-based grouped-first primitive.
+"""Sort-based grouped primitives.
 
 Measured on this Ray version (BENCH/BASELINE.md, r3 dedup section):
 the hash-shuffle ``groupby().aggregate()`` runs 36–48 s over 6.4M rows
@@ -7,12 +7,17 @@ with 4.5M groups at ANY partition count, while the range-shuffle
 aggregation is essentially free. For high-cardinality keys the sort
 form is ~20× faster with identical semantics.
 
-``sorted_first_per_group`` keeps ONE row per distinct group — the
-first in sort order, so appending tie-break columns to the sort makes
-it min-by. After the sort every group is a contiguous run; run heads
-inside a block are exact, and only each block's FIRST and LAST runs
-can straddle a block edge, so those rows (≤ 2 runs per block) take a
-tiny per-group second pass — bounded by block count, not data.
+After the sort every group is a contiguous run; runs inside a block
+are exact, and only each block's FIRST and LAST runs can straddle a
+block edge, so those rows take one small second pass bounded by block
+count, not data:
+
+- ``sorted_head_n_per_group`` (``sorted_first_per_group`` is n=1)
+  ships only the first n rows of each edge run;
+- ``sorted_sum_per_group`` ships each edge run's partial sums;
+- ``sorted_bucket_apply`` hands a caller's run function whole runs,
+  the edge runs of all blocks regrouped and re-sorted in one task
+  (``sorted_lookup_join`` is built on it).
 """
 
 from __future__ import annotations
@@ -40,77 +45,33 @@ def _run_starts(b: pa.Table, group_cols: list[str]) -> np.ndarray:
     return np.flatnonzero(np.r_[True, diff])
 
 
+def head_index(starts: np.ndarray, ends: np.ndarray,
+               n: int) -> np.ndarray:
+    """Row positions of the first ``n`` rows of every run
+    ``[starts[i], ends[i])``, in run order — one repeat/arange
+    construction, no per-run Python."""
+    cnt = np.minimum(ends - starts, n)
+    off = np.cumsum(cnt) - cnt
+    return (np.repeat(starts - off, cnt)
+            + np.arange(int(cnt.sum()), dtype=np.int64))
+
+
 def sorted_first_per_group(ds, group_cols, tie_cols=()):
     """One row per distinct ``group_cols`` combination: the first row
     in ``sort(group_cols + tie_cols)`` order (i.e. min of the tie
-    columns per group). Returns a Dataset with the input schema.
-
-    ONE range shuffle + C-speed block-local run heads; boundary runs
-    (first/last of each block) resolve in a per-group pass bounded by
-    2×blocks groups. Empty input passes through."""
-    import pyarrow.compute as pc
-    from zhtml_ray.stages.util import drop_empty_blocks
-
-    group_cols = list(group_cols)
-    srt = ds.sort(group_cols + list(tie_cols)).materialize()
-    if srt.count() == 0:
-        return srt
-
-    def interior_heads(b: pa.Table) -> pa.Table:
-        starts = _run_starts(b, group_cols)
-        if len(starts) <= 2:
-            # 0/1/2 runs: every run touches a block edge
-            return b.slice(0, 0)
-        keep = starts[1:-1]  # heads of runs fully inside this block
-        return b.take(pa.array(keep, pa.int64()))
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        # ONLY the head row of the block's first and last runs: rows
-        # within a run are already tie-sorted by the global sort, so
-        # each block's candidate for a boundary group's "first" is its
-        # run head — shipping whole runs would materialize a hot group
-        # (e.g. a 10^8-copy boilerplate text) on one worker (r3 review)
-        starts = _run_starts(b, group_cols)
-        idx = sorted({0, int(starts[-1])})
-        return b.take(pa.array(idx, pa.int64()))
-
-    interior = srt.map_batches(interior_heads, batch_size=None,
-                               batch_format="pyarrow")
-    edges = drop_empty_blocks(
-        srt.map_batches(edge_rows, batch_size=None,
-                        batch_format="pyarrow"))
-    if edges.count() == 0:
-        return interior
-
-    def first_of(g: pa.Table) -> pa.Table:
-        # candidates are per-block run HEADS (≤ 2×blocks rows total,
-        # arriving in arbitrary order): re-sort by the tie columns so
-        # the group winner is the global min-by, exactly as if the
-        # whole run had been scanned
-        if tie_cols:
-            order = pc.sort_indices(
-                g, sort_keys=[(c, "ascending") for c in tie_cols])
-            g = g.take(order)
-        return g.slice(0, 1)
-
-    # edges is ≤ 2×blocks rows scattered over ~blocks ONE-ROW blocks;
-    # Ray's groupby sort pays per-block overhead, not per-row — the
-    # uncompacted form measured 2.4 s for 400 rows (r4 stats audit)
-    from zhtml_ray.stages.util import compact_blocks
-    boundary = compact_blocks(edges).groupby(group_cols).map_groups(
-        first_of, batch_format="pyarrow")
-    return interior.union(boundary)
+    columns per group). Returns a Dataset with the input schema."""
+    return sorted_head_n_per_group(ds, group_cols, tie_cols, n=1)
 
 
 def sorted_head_n_per_group(ds, group_cols, tie_cols, n):
     """First ``n`` rows per distinct ``group_cols`` combination in
-    ``sort(group_cols + tie_cols)`` order (min-n-by). Same shape as
-    ``sorted_first_per_group``: ONE range shuffle, block-local run
-    slices, and a boundary pass that ships only the first ``n`` rows
-    of each block's first/last run (<= 2n rows per block — a hot group
-    never lands whole on one worker)."""
+    ``sort(group_cols + tie_cols)`` order (min-n-by). ONE range
+    shuffle, block-local run heads, and a boundary pass that ships
+    only the first ``n`` rows of each block's first/last run (<= 2n
+    rows per block — a hot group never lands whole on one worker).
+    Empty input passes through."""
     import pyarrow.compute as pc
-    from zhtml_ray.stages.util import drop_empty_blocks
+    from zhtml_ray.stages.util import compact_blocks, drop_empty_blocks
 
     group_cols = list(group_cols)
     tie_cols = list(tie_cols)
@@ -120,32 +81,26 @@ def sorted_head_n_per_group(ds, group_cols, tie_cols, n):
 
     def run_bounds(b):
         starts = _run_starts(b, group_cols)
-        ends = np.r_[starts[1:], b.num_rows]
-        return starts, ends
+        return starts, np.r_[starts[1:], b.num_rows]
 
     def interior_heads(b: pa.Table) -> pa.Table:
         starts, ends = run_bounds(b)
-        if len(starts) <= 2:
-            return b.slice(0, 0)
-        idx = np.concatenate([
-            np.arange(s, min(s + n, e))
-            for s, e in zip(starts[1:-1], ends[1:-1])])
+        idx = head_index(starts[1:-1], ends[1:-1], n)
         return b.take(pa.array(idx, pa.int64()))
 
     def edge_rows(b: pa.Table) -> pa.Table:
+        # rows within a run are already tie-sorted by the global sort,
+        # so each block's candidates for a boundary group are the
+        # first n rows of its first and last runs
         starts, ends = run_bounds(b)
-        take = {int(j) for s, e in
-                ((starts[0], ends[0]), (starts[-1], ends[-1]))
-                for j in range(s, min(s + n, e))}
-        return b.take(pa.array(sorted(take), pa.int64()))
+        idx = np.unique(head_index(starts[[0, -1]], ends[[0, -1]], n))
+        return b.take(pa.array(idx, pa.int64()))
 
     interior = srt.map_batches(interior_heads, batch_size=None,
                                batch_format="pyarrow")
     edges = drop_empty_blocks(
         srt.map_batches(edge_rows, batch_size=None,
                         batch_format="pyarrow"))
-    if edges.count() == 0:
-        return interior
 
     def head_of(g: pa.Table) -> pa.Table:
         # candidates arrive in arbitrary order; re-sort by ties so the
@@ -156,7 +111,9 @@ def sorted_head_n_per_group(ds, group_cols, tie_cols, n):
             g = g.take(order)
         return g.slice(0, n)
 
-    from zhtml_ray.stages.util import compact_blocks
+    # edges is <= 2n rows per block scattered over ~blocks tiny blocks;
+    # Ray's groupby sort pays per-block overhead, not per-row — the
+    # uncompacted form measured 2.4 s for 400 rows (r4 stats audit)
     boundary = compact_blocks(edges).groupby(group_cols).map_groups(
         head_of, batch_format="pyarrow")
     return interior.union(boundary)
@@ -236,80 +193,70 @@ def sorted_sum_per_group(ds, group_cols, sum_cols):
     return interior_ds.union(boundary)
 
 
-def sorted_bucket_apply(ds, bucket_col, sort_keys, interior_fn, edge_fn,
+def sorted_bucket_apply(ds, bucket_col, sort_keys, runs_fn,
                         empty_result: pa.Table):
-    """The sort-based per-bucket pattern, shared by the LSH pair
-    emitters (``minhash_candidate_pairs`` and ``embedding_neardup``):
-    ONE range-shuffle ``sort(sort_keys)``, then per-block C-speed run
-    decomposition over ``bucket_col`` (any orderable non-null type).
+    """The sort-based per-bucket pattern: ONE range-shuffle
+    ``sort(sort_keys)`` (ascending, ``bucket_col`` first; any
+    orderable non-null bucket type), then ``runs_fn(table, starts,
+    ends) -> pa.Table`` over WHOLE bucket runs only. The runs tile
+    ``table`` (``starts[0] == 0``, ``ends[-1] == table.num_rows``) and
+    every run's rows are in ``sort_keys`` order, so a bucket reaches
+    ``runs_fn`` exactly once, complete.
 
-    ``interior_fn(block, starts, ends, runs_mask) -> pa.Table`` emits
-    output for the runs FULLY contained in their block (``runs_mask``
-    marks them); ``edge_fn(group: pa.Table) -> pa.Table`` handles each
-    bucket that straddles a block edge — at most 2 per block, plus any
-    hot bucket larger than a block, so that per-group pass is bounded
-    by block count, not data. Rows reach ``edge_fn`` in arbitrary
-    order; re-sort inside if orientation matters. ``empty_result`` is
-    a zero-row table with the OUTPUT schema: it is both the
-    empty-input result and the guard value for 0-row sorted blocks
-    (which carry no schema, so the UDFs must not touch their columns —
-    explicit rather than relying on this Ray version skipping UDFs on
-    empty blocks; r3 review)."""
+    After the global sort only a block's first and last runs can
+    continue into a neighbouring block. The runs between them go to
+    ``runs_fn`` block-locally, as one contiguous slice. The first and
+    last runs of every block meet in one regroup task, bounded by
+    block count rather than data (plus any hot bucket larger than a
+    block), where they are re-sorted by ``sort_keys`` so each edge
+    bucket is one whole run. No driver collect and no extra Ray
+    execution: the result is lazy over the materialized sort.
+
+    ``empty_result`` is a zero-row table with the OUTPUT schema: the
+    empty-input result and the value of a block with no interior run.
+    Every output block carries its schema."""
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
     from zhtml_ray.stages.util import drop_empty_blocks
 
-    srt = ds.sort(sort_keys).materialize()
+    # no empty sorted block: Ray passes an empty block through a map
+    # without calling the UDF, schema-less as the sort left it (the
+    # rebuild from block refs also cuts the stats lineage that both
+    # branches below share)
+    srt = drop_empty_blocks(ds.sort(list(sort_keys)))
     if srt.count() == 0:
         return rd.from_arrow(empty_result)
-    btype = srt.schema().base_schema.field(bucket_col).type
+    order = [(k, "ascending") for k in sort_keys]
 
-    # first/last bucket id of every sorted block — only these can span
-    # a block boundary (2 rows per block, a genuinely tiny collect)
-    def edges_of(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({bucket_col: pa.array([], btype)})
-        col_ = b[bucket_col]
-        return pa.table({bucket_col: pa.array(
-            [col_[0].as_py(), col_[-1].as_py()], btype)})
-
-    edge_ids = sorted({r[bucket_col] for r in srt.map_batches(
-        edges_of, batch_size=None, batch_format="pyarrow").take_all()})
-    # broadcast as a typed Arrow array: zero-copy shared from plasma,
-    # no per-block pickle + pa.array rebuild (r3 review)
-    eref = ray.put(pa.array(edge_ids, btype))
+    def run_bounds(b: pa.Table):
+        starts = _run_starts(b, [bucket_col])
+        return starts, np.r_[starts[1:], b.num_rows]
 
     def interior(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
+        starts, ends = run_bounds(b)
+        if len(starts) <= 2:
             return empty_result
-        n = b.num_rows
-        starts = _run_starts(b, [bucket_col])
-        ends = np.r_[starts[1:], n]
-        heads = b[bucket_col].combine_chunks().take(
-            pa.array(starts, pa.int64()))
-        on_edge = pc.is_in(heads, value_set=ray.get(eref))
-        mask = ~pc.fill_null(on_edge, False) \
-            .to_numpy(zero_copy_only=False).astype(bool)
-        return interior_fn(b, starts, ends, mask)
+        lo = starts[1]
+        return runs_fn(b.slice(lo, ends[-2] - lo),
+                       starts[1:-1] - lo, ends[1:-1] - lo)
 
-    out = srt.map_batches(interior, batch_size=None,
-                          batch_format="pyarrow")
-
-    def keep_edges(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
+    def edge_runs(b: pa.Table) -> pa.Table:
+        starts, ends = run_bounds(b)
+        if len(starts) == 1:
             return b
-        m = pc.is_in(b[bucket_col], value_set=ray.get(eref))
-        return b.filter(m)
+        return pa.concat_tables([b.slice(0, ends[0]),
+                                 b.slice(starts[-1])])
 
-    edge_rows = drop_empty_blocks(
-        srt.map_batches(keep_edges, batch_format="pyarrow"))
-    if edge_rows.count():
-        from zhtml_ray.stages.util import compact_blocks
-        out = out.union(
-            compact_blocks(edge_rows).groupby(bucket_col).map_groups(
-                edge_fn, batch_format="pyarrow"))
-    return out
+    def edge_buckets(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=order))
+        return runs_fn(t, *run_bounds(t))
+
+    regrouped = srt.map_batches(
+        edge_runs, batch_size=None, batch_format="pyarrow") \
+        .repartition(1).map_batches(edge_buckets, batch_size=None,
+                                    batch_format="pyarrow")
+    return srt.map_batches(interior, batch_size=None,
+                           batch_format="pyarrow").union(regrouped)
 
 
 def sorted_lookup_join(big, lookup, key_col, payload_cols, how="inner"):
@@ -369,80 +316,38 @@ def sorted_lookup_join(big, lookup, key_col, payload_cols, how="inner"):
     tagged = big.map_batches(tag_big, batch_format="pyarrow").union(
         lookup.map_batches(tag_lookup, batch_format="pyarrow"))
 
-    def interior_fn(b, starts, ends, mask):
+    def join_runs(b, starts, ends):
+        # each run is one key, sorted by _src: a lookup row (src 0)
+        # heads its run when the key has one
         S = (b["_src"].combine_chunks()
              .to_numpy(zero_copy_only=False) != 0)
         lens = ends - starts
-        run_of = np.repeat(np.arange(len(starts)), lens)
-        head_ok = ~S[starts]  # run head is a lookup row for this key
-        if how == "inner":
-            keep = np.repeat(mask & head_ok, lens) & S
-        else:
-            keep = np.repeat(mask, lens) & S
+        head_ok = ~S[starts]
+        keep = (S & np.repeat(head_ok, lens)) if how == "inner" else S
         pos = np.flatnonzero(keep)
-        headpos = starts[run_of][pos]
-        if how in ("left", "full"):
-            # null head index → null payload via Arrow take semantics
-            hidx = pa.array(headpos, pa.int64(),
-                            mask=~head_ok[run_of][pos])
-        else:
-            hidx = pa.array(headpos, pa.int64())
+        run_of = np.repeat(np.arange(len(starts)), lens)[pos]
+        # null head index → null payload via Arrow take semantics
+        hidx = pa.array(starts[run_of], pa.int64(),
+                        mask=~head_ok[run_of])
         posa = pa.array(pos, pa.int64())
         cols = {n: b[n].combine_chunks().take(posa) for n in big_cols}
         for p in payload_cols:
             cols[p] = b[p].combine_chunks().take(hidx)
         out_tbl = pa.table(cols)
         if how == "full":
-            # lookup keys with NO big rows in their run: emit the
-            # lookup row itself (lookup is head-sorted + unique, so a
-            # big-less run is exactly a length-1 run whose head is the
-            # lookup row)
-            big_per_run = np.add.reduceat(S.astype(np.int64), starts) \
-                if len(starts) else np.zeros(0, np.int64)
-            lonely = np.flatnonzero(mask & head_ok & (big_per_run == 0))
+            # lookup keys with NO big rows: emit the lookup row itself
+            lonely = np.flatnonzero(
+                head_ok & ~np.logical_or.reduceat(S, starts))
             if lonely.size:
                 lpos = pa.array(starts[lonely], pa.int64())
                 nulls = pa.array(np.zeros(lonely.size, np.int64),
                                  mask=np.ones(lonely.size, bool))
-                lcols = {}
-                for n in big_cols:
-                    col_ = b[n].combine_chunks()
-                    lcols[n] = col_.take(lpos) if n == key_col else \
-                        col_.take(nulls)
+                lcols = {n: b[n].combine_chunks().take(
+                    lpos if n == key_col else nulls) for n in big_cols}
                 for p in payload_cols:
                     lcols[p] = b[p].combine_chunks().take(lpos)
                 out_tbl = pa.concat_tables([out_tbl, pa.table(lcols)])
         return out_tbl
 
-    def edge_fn(g: pa.Table) -> pa.Table:
-        S = (g["_src"].combine_chunks()
-             .to_numpy(zero_copy_only=False) != 0)
-        lpos = np.flatnonzero(~S)
-        epos = np.flatnonzero(S)
-        if lpos.size == 0 and how == "inner":
-            return empty_result
-        if how == "full" and epos.size == 0:
-            if lpos.size == 0:
-                return empty_result
-            la = pa.array(lpos[:1], pa.int64())
-            one_null = pa.array(np.zeros(1, np.int64),
-                                mask=np.ones(1, bool))
-            return pa.table(
-                {**{n: (g[n].combine_chunks().take(la) if n == key_col
-                        else g[n].combine_chunks().take(one_null))
-                    for n in big_cols},
-                 **{p: g[p].combine_chunks().take(la)
-                    for p in payload_cols}})
-        posa = pa.array(epos, pa.int64())
-        cols = {n: g[n].combine_chunks().take(posa) for n in big_cols}
-        if lpos.size:
-            hidx = pa.array(np.full(len(epos), lpos[0], np.int64))
-        else:
-            hidx = pa.array(np.zeros(len(epos), np.int64),
-                            mask=np.ones(len(epos), bool))
-        for p in payload_cols:
-            cols[p] = g[p].combine_chunks().take(hidx)
-        return pa.table(cols)
-
     return sorted_bucket_apply(tagged, key_col, [key_col, "_src"],
-                               interior_fn, edge_fn, empty_result)
+                               join_runs, empty_result)
