@@ -1598,19 +1598,22 @@ def test_lsh_index_compaction_crash_between_renames(ray_session, tmp_path,
     assert not os.path.exists(idx)
 
 
-def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path):
+def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path,
+                                           monkeypatch):
     """The job's drop set — ``_collide`` of the band rows against
     ``lsh_index_bucket_hits`` — equals the distinct ``key_a`` of
     ``lsh_index_probe`` on a fragmented index (several append files per
     bucket_part), including a new doc whose key is already indexed
     (self-matches never drop), an empty index, and a shard whose
-    buckets hit no populated part."""
+    buckets hit no populated part — folding the scanned rows into the
+    hits once at the end and after every batch alike."""
     import glob
     import os
 
     import pyarrow as pa
     import ray.data as rd
 
+    from zhtml_ray.functions import dedup
     from zhtml_ray.functions.dedup import (_collide, append_band_buckets,
                                            collect_band_rows,
                                            explode_band_buckets,
@@ -1625,16 +1628,22 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path):
     def both(idx, t):
         band = collect_band_rows(rd.from_arrow(t), pin_lsh_config(idx)) \
             .sort_by("bucket")
-        st_hits, st_probe = {}, {}
-        hits = lsh_index_bucket_hits(idx, band, st_hits)
-        semi = set(_collide(band["bucket"].to_numpy(),
-                            band["url"].combine_chunks(), hits,
-                            "url")[0].to_pylist())
+        st_probe = {}
         probe = {r["key_a"] for r in lsh_index_probe(
             idx, rd.from_arrow(t), scan_stats=st_probe).take_all()}
-        assert st_hits == st_probe
-        assert semi == probe
-        return semi, st_hits
+        runs = []
+        for fold_rows in (dedup._FOLD_ROWS, 0):
+            monkeypatch.setattr(dedup, "_FOLD_ROWS", fold_rows)
+            st_hits = {}
+            hits = lsh_index_bucket_hits(idx, band, st_hits)
+            assert st_hits == st_probe
+            semi = set(_collide(band["bucket"].to_numpy(),
+                                band["url"].combine_chunks(), hits,
+                                "url")[0].to_pylist())
+            assert semi == probe
+            runs.append(hits)
+        assert runs[0].equals(runs[1])
+        return semi, st_probe
 
     texts = [" ".join(f"page{i} word{j}" for j in range(10))
              for i in range(12)]
@@ -1654,8 +1663,10 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path):
                 "http://new/b"],     # unique: keep
                [texts[4], texts[7], texts[9],
                 "an entirely unrelated page about nothing in particular"])
-    semi, _ = both(idx, new)
+    semi, st = both(idx, new)
     assert semi == {"http://old/5", "http://new/a"}
+    assert st["n_files_read"] > st["n_parts_read"] > 0
+    assert st["bytes_read"] > 0
 
     empty_idx = str(tmp_path / "empty")
     pin_lsh_config(empty_idx, {"key": "url", "col": "text"})
@@ -1680,6 +1691,7 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path):
             break
     semi, st = both(sparse, miss)
     assert semi == set() and st["n_parts_read"] == 0
+    assert st["n_files_read"] == st["bytes_read"] == 0
 
 
 def test_lsh_index_config_pinned_by_builders(ray_session, tmp_path):

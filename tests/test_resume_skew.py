@@ -295,6 +295,7 @@ def test_band_rows_from_blocks_explodes_far_blocks_in_tasks(
     import ray.data as rd
     import ray.experimental
     from zhtml_ray.functions import dedup
+    from zhtml_ray.stages import util
     from zhtml_ray.stages.neardup import pin_lsh_config
 
     cfg = pin_lsh_config(str(tmp_path / "idx"))
@@ -314,13 +315,82 @@ def test_band_rows_from_blocks_explodes_far_blocks_in_tasks(
             Spy.calls += 1
             return self.fn.remote(*args)
 
-    monkeypatch.setitem(dedup._STAGE_CACHE, "block_band_rows", Spy())
+    monkeypatch.setitem(util._ZERO_CPU_TASKS, dedup._block_band_rows, Spy())
     monkeypatch.setattr(ray.experimental, "get_object_locations",
                         lambda refs: {r: {"node_ids": ["another-node"]}
                                       for r in refs})
     far = dedup.band_rows_from_blocks(ds, cfg)
     assert Spy.calls == 4
     assert far.equals(here) and here.num_rows == 40 * cfg["bands"]
+
+
+def test_neardup_write_marks_far_blocks_in_tasks(ray_session, tmp_path,
+                                                monkeypatch):
+    """A --neardup-index partition's block held only on another node is
+    marked and written by a zero-CPU task next to it: with every block
+    reported elsewhere, one task writes each block, and the written
+    rows, schema and ``neardup_keep`` equal the in-process write's."""
+    import copy
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    import ray
+    import ray.experimental
+    from zhtml_ray.stages import manifest, util
+    from zhtml_ray.stages.neardup import pin_lsh_config
+
+    docs = _hostile_pages()
+    files = []
+    for i in range(3):
+        f = str(tmp_path / f"b{i}.parquet")
+        pq.write_table(pa.table({"url": [u + str(i) for u, _ in docs],
+                                 "html": [h for _, h in docs]}), f)
+        files.append(f)
+    cfg = pin_lsh_config(str(tmp_path / "idx"))
+    prep = manifest._prepare_partition(
+        {"partition_id": 0, "input_files": files}, str(tmp_path / "src"),
+        {"include_spans": False, "clean": True}, cfg)
+    n_blocks = len(util.block_refs(prep["out"]))
+    assert n_blocks >= 2
+    drop = pa.array([u + str(i) for i in range(3) for u, _ in docs[::3]])
+
+    def finish(name):
+        p = copy.copy(prep)
+        p["final_dir"] = str(tmp_path / name)
+        p["tmp_dir"] = p["final_dir"] + ".tmp"
+        st = {}
+        m = manifest._finish_partition(p, drop, st)
+        assert st["write_s"] >= 0 and m["neardup"] is st
+        t = pads.dataset(p["final_dir"]).to_table()
+        assert len(glob.glob(p["final_dir"] + "/*.parquet")) == n_blocks
+        return t.sort_by("url"), {k: m[k] for k in
+                                  ("rows", "checksum", "error_counts")}
+
+    here = finish("here")
+
+    class Spy:
+        calls = 0
+        fn = ray.remote(num_cpus=0)(manifest._write_marked_block)
+
+        def remote(self, *args):
+            Spy.calls += 1
+            return self.fn.remote(*args)
+
+    monkeypatch.setitem(util._ZERO_CPU_TASKS, manifest._write_marked_block,
+                        Spy())
+    monkeypatch.setattr(ray.experimental, "get_object_locations",
+                        lambda refs: {r: {"node_ids": ["another-node"]}
+                                      for r in refs})
+    far = finish("far")
+    assert Spy.calls == n_blocks
+    assert far[0].schema == here[0].schema
+    assert far[0].schema.names[-1] == "neardup_keep"
+    assert "_lsh_buckets" not in far[0].schema.names
+    assert far[0].equals(here[0]) and far[1] == here[1]
+    assert here[1]["rows"] == 3 * len(docs)
+    assert far[0]["neardup_keep"].to_pylist() == [
+        u not in set(drop.to_pylist()) for u in far[0]["url"].to_pylist()]
 
 
 def test_zero_row_shard_partition_completes(ray_session, tmp_path):
@@ -763,15 +833,15 @@ def _index_contents(idx, tag) -> dict:
 
 def test_neardup_epoch_sizes_agree(ray_session, tmp_path):
     """--overlap is the near-dup epoch size: one-shard partitions under
-    epochs of 1, 2 and 3 (twin-a/twin-b in one epoch at 2, split at 3)
-    give identical keep maps and index contents, and each manifest
+    epochs of 1, 2, 3 and 4 (twin-a/twin-b in one epoch at 2, split at
+    3) give identical keep maps and index contents, and each manifest
     names the pids that shared its snapshot."""
     from zhtml_ray.stages.manifest import run_partitioned
     from zhtml_ray.stages.neardup import job_tag
 
     shards = _neardup_shards(tmp_path)
     results = {}
-    for overlap in (1, 2, 3):
+    for overlap in (1, 2, 3, 4):
         out_dir = str(tmp_path / f"out{overlap}")
         idx = str(tmp_path / f"idx{overlap}")
         r = run_partitioned(shards, out_dir, group_size=1, overlap=overlap,
@@ -783,14 +853,58 @@ def test_neardup_epoch_sizes_agree(ray_session, tmp_path):
         assert [m["neardup"]["epoch_pids"] for m in ms] == \
             [list(range(p - p % overlap, min(p - p % overlap + overlap, 6)))
              for p in range(6)]
+        # the first epoch scans an empty index; every later one reads
+        # files
+        assert all(m["neardup"]["index_files_read"] == 0
+                   for m in ms[:overlap])
+        assert all(m["neardup"]["index_files_read"] > 0
+                   and m["neardup"]["index_bytes_read"] > 0
+                   for m in ms[overlap:])
+        assert all(m["neardup"]["write_s"] >= 0 for m in ms)
         results[overlap] = (_keep_rows(out_dir),
                             _index_contents(idx, job_tag(out_dir)))
-    assert results[1] == results[2] == results[3]
+    assert results[1] == results[2] == results[3] == results[4]
     keeps = {u: k for _, u, k in results[1][0]}
     assert keeps["http://p0/base-t"] and not keeps["http://p1/dup-t"]
     assert keeps["http://p1/twin-a"] and not keeps["http://p1/twin-b"]
     assert not keeps["http://p2/dup-s"]
     assert all(keeps[u] for u in keeps if "/u" in u)
+
+
+def test_neardup_job_runs_one_execution_per_partition(ray_session, tmp_path,
+                                                     monkeypatch, capsys):
+    """A 2-partition ``--clean --neardup-index`` job at ``--overlap 2``
+    against a populated index runs exactly 2 Ray Data executions, its
+    concurrent extractions: the band rows, the index scan and the marked
+    write run without one (the design before ran 5: 2 extractions, 1
+    scan, 2 mark+write)."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+    from zhtml_ray.job import main
+
+    shards = _neardup_shards(tmp_path)
+    idx = str(tmp_path / "idx")
+    assert main(["--input", shards[0], "--output", str(tmp_path / "prev"),
+                 "--clean", "--neardup-index", idx]) == 0
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    out_dir = str(tmp_path / "out")
+    assert main(["--input", str(tmp_path / "nd-*.parquet"),
+                 "--output", out_dir, "--group-size", "3", "--overlap", "2",
+                 "--clean", "--neardup-index", idx]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["rows"] \
+        == 10
+    ms = [json.load(open(p)) for p in sorted(glob.glob(
+        os.path.join(out_dir, "_manifests", "part-*.json")))]
+    assert [m["neardup"]["epoch_pids"] for m in ms] == [[0, 1], [0, 1]]
+    assert len(runs) == 2
+    assert all(m["neardup"]["index_files_read"] > 0 for m in ms)
 
 
 def test_neardup_epoch_chain_survives(ray_session, tmp_path):

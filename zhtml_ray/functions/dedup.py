@@ -1340,7 +1340,7 @@ def collect_band_rows(ds, cfg: dict,
     return pa.concat_tables(chunks)
 
 
-def _block_band_rows(block: pa.Table, key: str) -> pa.Table:
+def _block_band_rows(block: pa.Table, _i: int, key: str) -> pa.Table:
     """One materialized block's ``(bucket, key)`` band rows."""
     return explode_band_buckets(block.select([key, LSH_BUCKETS_COL]), key)
 
@@ -1351,38 +1351,19 @@ def band_rows_from_blocks(ds, cfg: dict,
     that already carries the ``LSH_BUCKETS_COL`` column
     (``append_band_buckets`` under ``cfg``) — no Ray Data execution.
     Each block's key and bucket columns are selected and exploded where
-    the block lives, so only band rows cross the network, never the
-    text: a block held on this process's node (or inline in its memory)
-    is read here; a block held only on other nodes gets one zero-CPU
-    task, which Ray schedules next to its argument. (A task per block
-    on one node would start extra worker processes while the epoch's
-    other extractions hold the CPUs.) The same budget fails loudly, on
+    the block lives (``stages/util.at_blocks``), so only band rows
+    cross the network, never the text. The same budget fails loudly, on
     the blocks' metadata row counts, before any block is read."""
-    import ray
-    import ray.experimental
-
-    from zhtml_ray.stages.util import block_refs
+    from zhtml_ray.stages.util import at_blocks, block_refs
 
     key = cfg["key"]
     blocks = block_refs(ds)
     _check_band_budget(sum(m.num_rows for _, m in blocks) * cfg["bands"],
                        budget_rows, cfg["bands"])
-    refs = [r for r, _ in blocks]
-    if not refs:
+    if not blocks:
         return _empty_band_rows(ds, key)
-    if "block_band_rows" not in _STAGE_CACHE:
-        _STAGE_CACHE["block_band_rows"] = \
-            ray.remote(num_cpus=0)(_block_band_rows)
-    task = _STAGE_CACHE["block_band_rows"]
-    here = ray.get_runtime_context().get_node_id()
-    locs = ray.experimental.get_object_locations(refs)
-    remote = [bool(locs[r]["node_ids"]) and here not in locs[r]["node_ids"]
-              for r in refs]
-    pending = [task.remote(r, key) if far else r
-               for r, far in zip(refs, remote)]
-    return pa.concat_tables([
-        b if far else _block_band_rows(b, key)
-        for b, far in zip(ray.get(pending), remote)])
+    return pa.concat_tables(at_blocks([r for r, _ in blocks],
+                                      _block_band_rows, key))
 
 
 def _collide(nbk: np.ndarray, nkeys: pa.Array, b: pa.Table,
@@ -1426,33 +1407,16 @@ def two_keys_per_bucket(t: pa.Table, key: str) -> pa.Table:
     return t.filter(pa.array(np.arange(len(tb)) - first_of_run(tb) < 2))
 
 
-def _bucket_hits(nbk: np.ndarray, b: pa.Table, key: str) -> pa.Table:
-    """``two_keys_per_bucket`` of the rows of ``b`` whose bucket is in
-    the sorted, non-empty new buckets ``nbk``."""
-    bb = b["bucket"].to_numpy(zero_copy_only=False)
-    i = np.minimum(np.searchsorted(nbk, bb), len(nbk) - 1)
-    return two_keys_per_bucket(b.filter(pa.array(nbk[i] == bb)), key)
-
-
-def _index_scan(out_dir: str, band_rows: pa.Table, cfg: dict,
-                scan_stats: dict | None, emit):
-    """The probe's index side: sort the new ``(bucket, key)`` rows
-    once, prune the index to the ``bucket_part=`` dirs they hash into,
-    and fan the pruned FILE LIST out as a Dataset — each task reads its
-    own files with pyarrow (no ``read_parquet`` planning over many tiny
-    files) and matches them against the broadcast sorted new buckets:
-    ``emit(new_buckets, new_keys, file_table)`` (built on ``_collide``
-    or ``_bucket_hits``) reduces one file to the task's output rows.
-    Returns None when no file can collide. The indexed side streams
-    file by file and never reaches the calling process."""
+def _pruned_index(out_dir: str, band_rows: pa.Table, cfg: dict,
+                  scan_stats: dict | None):
+    """The probe's index side: sort the new ``(bucket, key)`` rows once
+    and prune the index to the ``bucket_part=`` dirs they hash into.
+    Returns ``(new_buckets, new_keys, files)``: the sorted new buckets
+    (numpy) and their keys, and the sorted parquet files of the pruned
+    dirs, whose count and bytes ``scan_stats`` records next to the
+    parts'."""
     import glob
     import os
-
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from zhtml_ray.stages.util import cluster_cpus
 
     key = cfg["key"]
     order = pc.sort_indices(band_rows["bucket"])
@@ -1469,15 +1433,35 @@ def _index_scan(out_dir: str, band_rows: pa.Table, cfg: dict,
         scan_stats["n_parts_read"] = len(dirs)
     files = sorted(f for d in dirs
                    for f in glob.glob(os.path.join(d, "*.parquet")))
-    if not files:
-        return None
+    if scan_stats is not None:
+        scan_stats["n_files_read"] = len(files)
+        scan_stats["bytes_read"] = sum(os.path.getsize(f) for f in files)
+    return new_buckets, new_keys, files
+
+
+def _index_scan(new_buckets: np.ndarray, new_keys: pa.Array,
+                files: list, key: str):
+    """``lsh_index_probe``'s index side: the pruned index ``files``
+    fanned out as a Dataset of their paths. Each task reads its own
+    files with pyarrow (no ``read_parquet`` planning over many tiny
+    files) and ``_collide``s each against the broadcast sorted new
+    buckets, emitting ``(key_a, key_b)`` pairs. The indexed side
+    streams file by file inside the tasks; only the pairs reach the
+    calling process."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from zhtml_ray.stages.util import cluster_cpus
+
     bref = ray.put((new_buckets, new_keys))
 
     def scan(batch: pa.Table) -> pa.Table:
         nbk, nkeys = ray.get(bref)
         return pa.concat_tables([
-            emit(nbk, nkeys, pq.ParquetFile(f).read(
-                columns=["bucket", key]))
+            pa.table(dict(zip(("key_a", "key_b"), _collide(
+                nbk, nkeys, pq.ParquetFile(f).read(columns=["bucket", key]),
+                key))))
             for f in batch["path"].to_pylist()])
 
     return rd.from_items(
@@ -1486,28 +1470,50 @@ def _index_scan(out_dir: str, band_rows: pa.Table, cfg: dict,
         .map_batches(scan, batch_size=None, batch_format="pyarrow")
 
 
+# Matching index rows that ``lsh_index_bucket_hits`` buffers before it
+# folds them into its hits.
+_FOLD_ROWS = 1 << 16
+
+
 def lsh_index_bucket_hits(out_dir: str, band_rows: pa.Table,
                           scan_stats: dict | None = None) -> pa.Table:
     """The indexed ``(bucket, key)`` rows sharing a bucket with
     ``band_rows`` (computed under the index's pinned parameters), at
-    most two distinct keys per bucket (``_bucket_hits``), in
+    most two distinct keys per bucket (``two_keys_per_bucket``), in
     ``band_rows``' schema. ``_collide`` of any subset of ``band_rows``
     against them gives exactly the new keys that collide with an
     indexed key other than themselves for that subset, so ONE scan
-    serves several probe sides (the job's near-dup epoch)."""
+    serves several probe sides (the job's near-dup epoch).
+
+    The pruned files stream through one pyarrow scanner in this
+    process, no Ray Data execution: the bucket test is the scanner's
+    filter, evaluated in its threads, and the matching rows fold into
+    the hits whenever more than ``_FOLD_ROWS`` of them wait, so memory
+    is the hits plus that buffer."""
+    import pyarrow.dataset as pads
+
     cfg = lsh_index_config(out_dir)
     key = cfg["key"]
     schema = band_rows.select(["bucket", key]).schema
-    ds = _index_scan(out_dir, band_rows, cfg, scan_stats,
-                     lambda nbk, nkeys, b: _bucket_hits(nbk, b, key))
-    if ds is None:
-        return schema.empty_table()
-    # each file of a bucket_part sent its own two keys per bucket
-    return two_keys_per_bucket(pa.concat_tables(
-        [schema.empty_table()]
-        + [t.cast(schema) for t in
-           ds.iter_batches(batch_size=None, batch_format="pyarrow")]),
-        key)
+    new_buckets, _, files = _pruned_index(out_dir, band_rows, cfg,
+                                          scan_stats)
+    hits = schema.empty_table()
+    if not files:
+        return hits
+
+    def fold(hits: pa.Table, batches: list) -> pa.Table:
+        return two_keys_per_bucket(pa.concat_tables(
+            [hits, pa.Table.from_batches(batches, schema)]), key)
+
+    pending, n_pending = [], 0
+    for batch in pads.dataset(files, schema=schema, format="parquet") \
+            .to_batches(filter=pc.field("bucket").isin(
+                pa.array(np.unique(new_buckets)))):
+        pending.append(batch)
+        n_pending += batch.num_rows
+        if n_pending > _FOLD_ROWS:
+            hits, pending, n_pending = fold(hits, pending), [], 0
+    return fold(hits, pending)
 
 
 def lsh_index_probe(out_dir: str, new_ds,
@@ -1534,12 +1540,12 @@ def lsh_index_probe(out_dir: str, new_ds,
     kt = nb.schema.field(key).type
     empty = pa.table({"key_a": pa.array([], kt),
                       "key_b": pa.array([], kt)})
-    ds = _index_scan(out_dir, nb, cfg, scan_stats,
-                     lambda nbk, nkeys, b: pa.table(dict(zip(
-                         ("key_a", "key_b"), _collide(nbk, nkeys, b, key)))))
-    if ds is None:
+    new_buckets, new_keys, files = _pruned_index(out_dir, nb, cfg,
+                                                 scan_stats)
+    if not files:
         return rd.from_arrow(empty)
-    pairs = drop_empty_blocks(ds)
+    pairs = drop_empty_blocks(
+        _index_scan(new_buckets, new_keys, files, key))
     if pairs.count() == 0:
         return rd.from_arrow(empty)
     # distinct WITHOUT canonicalizing: key_a stays the new-shard side

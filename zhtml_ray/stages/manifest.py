@@ -9,10 +9,11 @@ manifest record. On resume, completed partition ids are loaded and
 their input shards are skipped BEFORE any read is issued. With
 ``--neardup-index`` a partition splits into a prepare half (extract +
 MinHash band buckets in one fused map, materialized, then the band rows
-read from its blocks) and a finish half (mark + write) around one
-shared near-dup resolve per epoch of ``overlap`` partitions
-(``_run_neardup_epochs``) — two Ray Data executions per partition plus
-one index scan per epoch.
+read from its blocks) and a finish half (mark + write each block where
+it lives, one parquet file per block) around one shared near-dup
+resolve per epoch of ``overlap`` partitions (``_run_neardup_epochs``)
+— one Ray Data execution per partition, the extraction; the index
+scan, the resolve and the write run without one.
 
 The manifest row doubles as lineage + metrics:
   {partition_id, input_files, rows, html_bytes, checksum,
@@ -161,33 +162,48 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
     return prep
 
 
+def _write_marked_block(block, i: int, tmp_dir: str, key: str,
+                        drop_keys) -> None:
+    """Write one materialized block of a ``--neardup-index`` partition as
+    ``tmp_dir/block-<i>.parquet``: the band-bucket column dropped and the
+    append-only ``neardup_keep`` column last, so the written schema is
+    the plain job's plus ``neardup_keep`` (rows == inputs preserved,
+    stages/neardup.py)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from zhtml_ray.functions.dedup import LSH_BUCKETS_COL
+
+    keep = pc.invert(pc.is_in(block[key], value_set=drop_keys))
+    pq.write_table(block.drop_columns([LSH_BUCKETS_COL]).append_column(
+        "neardup_keep", keep.combine_chunks()),
+        os.path.join(tmp_dir, f"block-{i:06d}.parquet"))
+
+
 def _finish_partition(prep: dict, drop_keys=None,
                       nd_stats: dict | None = None) -> dict:
-    """Second half: [mark ``neardup_keep``] → write to a temp dir →
-    atomic rename → lineage scan. Returns the manifest record; the
-    caller writes it (``_write_manifest``). ``drop_keys``: an Arrow
-    array of the near-duplicate keys (``--neardup-index`` only)."""
-    import pyarrow as pa
+    """Second half: write to a temp dir → atomic rename → lineage scan.
+    Returns the manifest record; the caller writes it
+    (``_write_manifest``). Without ``drop_keys`` the extraction is
+    written by one ``write_parquet`` execution. With ``drop_keys`` (an
+    Arrow array of the near-duplicate keys, ``--neardup-index``) the
+    materialized extraction is marked and written block by block where
+    each block lives (``util.at_blocks``: one parquet file per block, no
+    Ray Data execution); ``nd_stats["write_s"]`` times that write."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     out, tmp_dir, final_dir = prep["out"], prep["tmp_dir"], prep["final_dir"]
     if drop_keys is not None:
-        # append-only neardup_keep column: rows == inputs invariant
-        # preserved (stages/neardup.py); the prepare half's band-bucket
-        # column goes first, so the written schema is unchanged
-        import ray
+        from zhtml_ray.stages.util import at_blocks, block_refs
 
-        from zhtml_ray.functions.dedup import LSH_BUCKETS_COL
-        dref = ray.put(drop_keys)
-
-        def mark(b: pa.Table, _k=prep["neardup_key"]) -> pa.Table:
-            keep = pc.invert(pc.is_in(b[_k], value_set=ray.get(dref)))
-            return b.drop_columns([LSH_BUCKETS_COL]).append_column(
-                "neardup_keep", keep.combine_chunks())
-
-        out = out.map_batches(mark, batch_format="pyarrow")
-    out.write_parquet(tmp_dir)
+        t0 = time.perf_counter()
+        os.makedirs(tmp_dir, exist_ok=True)
+        at_blocks([r for r, _ in block_refs(out)], _write_marked_block,
+                  tmp_dir, prep["neardup_key"], drop_keys)
+        nd_stats["write_s"] = round(time.perf_counter() - t0, 3)
+    else:
+        out.write_parquet(tmp_dir)
     # a ZERO-ROW partition (legal: an empty input shard) writes no files
     # and may not even create tmp_dir — it must still complete with an
     # empty manifest or --resume retries it forever
@@ -259,9 +275,9 @@ def _run_neardup_epochs(todo: list[dict], todo_now: list[dict],
     """``--neardup-index`` partitions, ``epoch_size`` consecutive ones
     at a time: concurrent prepare (one fused extract + band-bucket
     execution each), one in-process ``resolve_epoch`` (one index scan,
-    ascending-pid resolve, appends), concurrent finish, then the
-    manifests in ascending pid order — so a later pid is never
-    complete while an earlier one is not. The drops equal a
+    ascending-pid resolve, appends), concurrent block-local finish,
+    then the manifests in ascending pid order — so a later pid is
+    never complete while an earlier one is not. The drops equal a
     sequential run's for every ``epoch_size``. A partition's
     ``wall_s`` runs from its prepare to its finish, so it includes the
     epoch's shared resolve and any wait for its epoch-mates."""

@@ -24,31 +24,39 @@ Partitions run in EPOCHS of ``overlap`` consecutive pids
      (``dedup.append_band_buckets`` appends each doc's buckets as a
      ``fixed_size_list<int64>[bands]`` column), materialized; its
      ``(bucket, key)`` rows are then read straight from the
-     materialized blocks (``dedup.band_rows_from_blocks``: one
-     zero-CPU task per block ref selects and explodes the key and
-     bucket columns where the block lives; no second execution, and
-     no text leaves its block). The same rows feed the probe, the
+     materialized blocks (``dedup.band_rows_from_blocks`` over
+     ``stages/util.at_blocks``: a block on the job process's node is
+     read there zero-copy, a block held only on another node is
+     exploded by a zero-CPU task next to it; no second execution, and
+     no text leaves its node). The same rows feed the probe, the
      within-partition scan and the append;
   2. one in-process resolve (``resolve_epoch``): ONE scan over the
      pruned index for the union of the epoch's buckets
-     (``dedup.lsh_index_bucket_hits``: a Dataset of the index FILE
-     PATHS whose tasks read their own files with pyarrow and return
-     the colliding index rows, at most two keys per bucket — no
-     shuffle), then each partition in ascending pid order is resolved
-     against that snapshot plus its earlier epoch-mates' survivors and
-     appends its own survivors;
-  3. concurrent finish: mark (which drops the bucket column, so the
-     written schema carries only ``neardup_keep`` more) → write →
-     rename; the manifests are then written in ascending pid order.
+     (``dedup.lsh_index_bucket_hits``: the colliding index rows, at
+     most two keys per bucket, no shuffle; the pruned files stream
+     through one pyarrow scanner in the job process), then each
+     partition in ascending pid order is
+     resolved against that snapshot plus its earlier epoch-mates'
+     survivors and appends its own survivors;
+  3. concurrent finish: each materialized block is marked (the bucket
+     column dropped, so the written schema carries only
+     ``neardup_keep`` more) and written as one parquet file where it
+     lives (``at_blocks`` again: in the job process, or a zero-CPU
+     task next to a far block) → rename; the manifests are then
+     written in ascending pid order.
+
+Each epoch thus runs its E extractions as concurrent Ray Data
+executions and no other execution.
 
 The manifest's ``neardup`` record times the steps: ``hash_s`` is the
 time to collect the partition's band rows from its materialized blocks
 (the MinHash itself runs inside the extraction tasks, so it is part of
 the partition's extraction); ``probe_s`` is the epoch's shared scan
 plus the partition's own resolve; ``append_s`` is the partition's own
-index append. Next to them: ``index_parts_read``
-(of the shared scan) and ``epoch_pids``, the pids that shared one
-snapshot.
+index append; ``write_s`` is the block-local mark and write. Next to
+them: ``index_parts_read``, ``index_files_read`` and
+``index_bytes_read`` of the shared scan, and ``epoch_pids``, the pids
+that shared one snapshot.
 
 The stage is append-only on the data path (a ``neardup_keep`` bool
 column, preserving the job CLI's rows == inputs manifest invariant —
@@ -178,7 +186,8 @@ def resolve_epoch(index_dir: str, cfg: dict, parts: list,
     appended before the next partition resolves. Returns
     ``[(drop_keys, stats), ...]`` in ``parts`` order, ``drop_keys`` an
     Arrow array of distinct keys. ``probe_s`` is the shared scan's time
-    plus P's own resolve; ``index_parts_read`` is the shared scan's."""
+    plus P's own resolve; ``index_parts_read``, ``index_files_read``
+    and ``index_bytes_read`` are the shared scan's."""
     from time import perf_counter
 
     import pyarrow.compute as pc
@@ -222,6 +231,8 @@ def resolve_epoch(index_dir: str, cfg: dict, parts: list,
             "dropped_within": len(drop_keys) - len(index_drops),
             "appended": n_docs - len(drop_keys),
             "index_parts_read": scan_stats.get("n_parts_read", 0),
+            "index_files_read": scan_stats["n_files_read"],
+            "index_bytes_read": scan_stats["bytes_read"],
             "probe_s": round(scan_s + t2 - t1, 3),
             "append_s": round(t3 - t2, 3),
             "index_files_written": files_written,

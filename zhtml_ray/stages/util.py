@@ -52,12 +52,55 @@ def block_refs(ds) -> list:
             for ref, meta in bundle.blocks if meta.num_rows]
 
 
+_ZERO_CPU_TASKS: dict = {}
+
+
+def at_blocks(refs: list, fn, *args) -> list:
+    """``fn(block, i, *args)`` for each block ref of ``refs`` (``i`` its
+    position), where the block lives, with no Ray Data execution:
+    results in ``refs`` order. A block held on this process's node (or
+    inline in its memory) is read zero-copy with ``ray.get`` and
+    ``fn`` runs here; a block held only on other nodes gets one
+    zero-CPU task, which Ray schedules next to its argument, so only
+    ``fn``'s result crosses the network. (A task per block on one node
+    would start extra worker processes while other executions hold the
+    CPUs.) ``fn`` must be a module-level function; ``args`` go to the
+    object store once, and only when some block is far."""
+    import ray
+    import ray.experimental
+
+    if not refs:
+        return []
+    here = ray.get_runtime_context().get_node_id()
+    locs = ray.experimental.get_object_locations(refs)
+    far = [bool(locs[r]["node_ids"]) and here not in locs[r]["node_ids"]
+           for r in refs]
+    pending = list(refs)
+    if any(far):
+        if fn not in _ZERO_CPU_TASKS:
+            _ZERO_CPU_TASKS[fn] = ray.remote(num_cpus=0)(fn)
+        arg_refs = [ray.put(a) for a in args]
+        pending = [_ZERO_CPU_TASKS[fn].remote(r, i, *arg_refs) if f else r
+                   for i, (r, f) in enumerate(zip(refs, far))]
+    return [out if f else fn(out, i, *args)
+            for i, (out, f) in enumerate(zip(ray.get(pending), far))]
+
+
 def drop_empty_blocks(ds):
     """Rebuild a (small, already-materialized) Dataset from its non-empty
     block refs. Ray's groupby.map_groups can emit 0-row blocks with an
     EMPTY schema (the UDF never runs for them), and pyarrow's hash join
     rejects a shuffle partition built from such a block ("no match for
-    key field"). Zero-copy: only object refs move, blocks stay put."""
+    key field"). Zero-copy: only object refs move, blocks stay put.
+
+    The rebuild is load-bearing beyond the empty blocks: ``from_arrow_refs``
+    also cuts the Dataset's ``DatasetStats`` lineage. A caller that
+    unions two lazy branches of one dataset in a loop
+    (``sorted_head_n_per_group`` over one materialized sort, iterated by
+    BFS) otherwise doubles the stats tree every round — skipping the
+    rebuild when no block is empty hung
+    ``test_bfs_depth_differential[0-10-60-200]`` in ``to_summary``
+    recursion. Keep it even when every block has rows."""
     import ray.data as rd
     ds = ds.materialize()
     refs = [ref for ref, _ in block_refs(ds)]
