@@ -16,3 +16,22 @@ def ray_session():
         pass
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def sort_tier(monkeypatch):
+    """``with sort_tier():`` runs every ``sortagg.key_join`` inside on
+    its sort tier (no lookup fits a negative ``BROADCAST_BYTES``);
+    ``sort_tier(False)`` leaves the tier to the lookup's size."""
+    import contextlib
+
+    from zhtml_ray.stages import sortagg
+
+    @contextlib.contextmanager
+    def forced(on: bool = True):
+        with monkeypatch.context() as m:
+            if on:
+                m.setattr(sortagg, "BROADCAST_BYTES", -1)
+            yield
+
+    return forced

@@ -366,9 +366,9 @@ def test_label_propagation_run_checks():
             rnd(bad)
 
 
-def test_minhash_dedup_join_path_matches_broadcast(ray_session):
-    """broadcast_budget=0 forces the hash-partitioned left-join
-    assignment; output must equal the broadcast path."""
+def test_minhash_dedup_join_path_matches_broadcast(ray_session, sort_tier):
+    """The sort tier of the cluster assignment (a merge-join-as-sort
+    left join) must equal the broadcast path."""
     import ray.data as rd
     texts = ["alpha beta gamma delta epsilon zeta eta theta"] * 3 + \
             ["totally different words live in this one document"] + \
@@ -376,8 +376,9 @@ def test_minhash_dedup_join_path_matches_broadcast(ray_session):
     t = _tbl(texts)
     a = dedup.minhash_dedup(rd.from_arrow(t)).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    b = dedup.minhash_dedup(rd.from_arrow(t), broadcast_budget=0).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    with sort_tier():
+        b = dedup.minhash_dedup(rd.from_arrow(t)).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
     cols = ["doc_id", "cluster", "is_dup"]
     assert a[cols].equals(b[cols])
     assert not a.loc[a.doc_id == 0, "is_dup"].item()
@@ -820,6 +821,103 @@ def test_sorted_lookup_join_empty_sides(ray_session):
     left = sorted_lookup_join(rd.from_arrow(big2), rd.from_arrow(lk2),
                               "k", ["p"], how="left").to_pandas()
     assert len(left) == 2 and left["p"].isna().all()
+
+
+_TIER_FN = {"broadcast": "broadcast_lookup_join",
+            "sort": "sorted_lookup_join"}
+
+
+def _spy_tiers(monkeypatch, tier):
+    """Force ``key_join``'s tier and record which tier functions ran."""
+    from zhtml_ray.stages import sortagg
+    monkeypatch.setattr(sortagg, "BROADCAST_BYTES",
+                        1 << 40 if tier == "broadcast" else -1)
+    ran = []
+    for name in _TIER_FN.values():
+        def spy(*a, _f=getattr(sortagg, name), _n=name, **kw):
+            ran.append(_n)
+            return _f(*a, **kw)
+        monkeypatch.setattr(sortagg, name, spy)
+    return ran
+
+
+@pytest.mark.parametrize("tier", ["broadcast", "sort"])
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+@pytest.mark.parametrize("ktype,nblocks", [("int64", 1), ("string", 7)])
+def test_key_join_matches_pandas(ray_session, monkeypatch, tier, how,
+                                 ktype, nblocks):
+    """Both tiers of ``key_join`` vs pandas ``merge`` / ``isin``:
+    repeated big keys, big keys absent from the lookup, lookup keys
+    absent from big, repeated lookup keys for semi/anti."""
+    import pandas as pd
+    import ray.data as rd
+    from zhtml_ray.stages.sortagg import key_join
+
+    ran = _spy_tiers(monkeypatch, tier)
+    rng = np.random.RandomState(nblocks)
+    n = 2000
+
+    def keys(v):
+        return (pa.array(v, pa.int64()) if ktype == "int64"
+                else pa.array([f"k{x}" for x in v], pa.string()))
+
+    big = pa.table({"k": keys(rng.randint(0, 300, n)),
+                    "val": pa.array(rng.permutation(n), pa.int64())})
+    lk_v = [v for v in range(0, 350) if v % 3]
+    lk = pa.table({"k": keys(lk_v),
+                   "p1": pa.array([f"text-{v}" for v in lk_v]),
+                   "p2": pa.array([v * 7 % 997 for v in lk_v],
+                                  pa.int64())})
+    payload = ["p1", "p2"] if how in ("inner", "left") else []
+    if not payload:
+        lk = pa.concat_tables([lk, lk])
+    got = (key_join(rd.from_arrow(big).repartition(nblocks),
+                    rd.from_arrow(lk).repartition(3), "k", payload, how)
+           .to_pandas().sort_values(["k", "val"]).reset_index(drop=True))
+    b, l_ = big.to_pandas(), lk.to_pandas()
+    want = (b[b.k.isin(l_.k) == (how == "semi")] if not payload
+            else b.merge(l_, on="k", how=how))
+    want = want.sort_values(["k", "val"]).reset_index(drop=True)
+    assert list(got.columns) == ["k", "val", *payload]
+    assert len(want) > 0
+    if how == "left":  # pandas fills the missing text payload with NaN
+        want["p1"] = want["p1"].where(want["p1"].notna(), None)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert ran == [_TIER_FN[tier]]
+
+
+@pytest.mark.parametrize("tier", ["broadcast", "sort"])
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_key_join_empty_lookup(ray_session, monkeypatch, tier, how):
+    """An empty lookup in either tier: inner/semi keep no row, left
+    keeps every row with null payloads, anti keeps every row — also
+    for a lookup whose zero-row blocks lost their schema."""
+    import ray.data as rd
+    from zhtml_ray.stages.sortagg import key_join
+
+    ran = _spy_tiers(monkeypatch, tier)
+    big = pa.table({"k": pa.array(["a", "b", "a"], pa.string()),
+                    "val": pa.array([1, 2, 3], pa.int64())})
+    lk = pa.table({"k": pa.array([], pa.string()),
+                   "p": pa.array([], pa.int64())})
+    payload = ["p"] if how in ("inner", "left") else []
+    lookups = [rd.from_arrow(lk)]
+    if not payload:
+        # a map over zero-row blocks skips the UDF: no schema remains
+        bare = rd.from_arrow(lk).map_batches(lambda b: b,
+                                             batch_format="pyarrow")
+        assert bare.materialize().schema() is None
+        lookups.append(bare)
+    for lookup in lookups:
+        out = key_join(rd.from_arrow(big), lookup, "k", payload, how)
+        rows = sorted(out.take_all(), key=lambda r: r["val"])
+        if how in ("inner", "semi"):
+            assert rows == []
+        else:
+            assert [r["val"] for r in rows] == [1, 2, 3]
+            assert all(r.get("p", None) is None for r in rows)
+            assert all(set(r) == {"k", "val", *payload} for r in rows)
+    assert set(ran) == {_TIER_FN[tier]}
 
 
 def test_paragraph_dedup_planted(ray_session, tmp_path):

@@ -243,10 +243,11 @@ def _serial_bfs(edges, seeds, max_depth):
 @pytest.mark.parametrize("seed,n_nodes,n_edges", [
     (9, 8, 30), (10, 60, 200), (11, 150, 450)])
 @pytest.mark.parametrize("bbud", [20_000_000, 0])
-def test_bfs_depth_differential(ray_session, seed, n_nodes, n_edges,
-                                bbud):
-    """Frontier-expansion BFS (broadcast tier AND merge-join tier) vs
-    a serial deque BFS from the same in-degree-0 seed set."""
+def test_bfs_depth_differential(ray_session, sort_tier, seed, n_nodes,
+                                n_edges, bbud):
+    """Frontier-expansion BFS (broadcast tier AND, for ``bbud=0``,
+    merge-join tier) vs a serial deque BFS from the same in-degree-0
+    seed set."""
     import ray.data as rd
     from zhtml_ray.functions.graph import bfs_depth, indegree_zero_seeds
     rng = np.random.default_rng(seed)
@@ -258,9 +259,9 @@ def test_bfs_depth_differential(ray_session, seed, n_nodes, n_edges,
     seeds = sorted(r["node"] for r in seeds_ds.take_all())
     assert seeds == sorted({s for s, _ in edges}
                            - {d for _, d in edges})
-    got = {r["node"]: r["depth"]
-           for r in bfs_depth(eds, seeds_ds, max_depth=6,
-                              broadcast_budget=bbud).take_all()}
+    with sort_tier(bbud == 0):
+        got = {r["node"]: r["depth"]
+               for r in bfs_depth(eds, seeds_ds, max_depth=6).take_all()}
     assert got == _serial_bfs(edges, seeds, 6)
 
 

@@ -94,29 +94,33 @@ def test_read_html_files_source(ray_session, tmp_path):
         assert rows[f"doc{i}.html"] == expect
 
 
-def test_big_discount_orders_join_path_matches_broadcast(ray_session):
-    """broadcast_budget=0 forces the hash-partitioned left_semi join;
-    rows must equal the broadcast pc.is_in path."""
+def test_big_discount_orders_join_path_matches_broadcast(ray_session,
+                                                       sort_tier):
+    """The sort tier of the semi-join (a merge-join-as-sort) must give
+    the rows of the broadcast pc.index_in path."""
     from zhtml_ray.pipelines.queries import q_big_discount_orders
     sf = "/root/testdata/sf0.001"
     a = q_big_discount_orders(sf).to_pandas() \
         .sort_values("o_orderkey").reset_index(drop=True)
-    b = q_big_discount_orders(sf, broadcast_budget=0).to_pandas() \
-        .sort_values("o_orderkey").reset_index(drop=True)
+    with sort_tier():
+        b = q_big_discount_orders(sf).to_pandas() \
+            .sort_values("o_orderkey").reset_index(drop=True)
     assert a[["o_orderkey", "o_totalprice"]].equals(
         b[["o_orderkey", "o_totalprice"]])
     assert len(a) > 0
 
 
-def test_cust_no_urgent_orders_sort_path_matches_broadcast(ray_session):
-    """broadcast_budget=0 forces the sorted_lookup_join anti path; rows
-    must equal the inverted pc.is_in broadcast path."""
+def test_cust_no_urgent_orders_sort_path_matches_broadcast(ray_session,
+                                                         sort_tier):
+    """The sort tier of the anti-join (sorted_lookup_join) must give
+    the rows of the inverted pc.index_in broadcast path."""
     from zhtml_ray.pipelines.queries import q_cust_no_urgent_orders
     sf = "/root/testdata/sf0.001"
     a = q_cust_no_urgent_orders(sf).to_pandas() \
         .sort_values("c_custkey").reset_index(drop=True)
-    b = q_cust_no_urgent_orders(sf, broadcast_budget=0).to_pandas() \
-        .sort_values("c_custkey").reset_index(drop=True)
+    with sort_tier():
+        b = q_cust_no_urgent_orders(sf).to_pandas() \
+            .sort_values("c_custkey").reset_index(drop=True)
     assert a[["c_custkey", "c_acctbal"]].equals(
         b[["c_custkey", "c_acctbal"]])
     assert len(a) > 0

@@ -809,7 +809,7 @@ def heavy_hitters(ds, capacity: int = 699,
     once via ``ray.put`` (Arrow key array, zero-copy to every worker)
     and each batch emits its nominee hits plus one sentinel row
     carrying n_b; over budget it falls back to the memory-safe
-    merge-join path (full per-batch partials inner-joined against the
+    merge-join path (full per-batch partials semi-joined against the
     nominee table — more shuffle, bounded memory).  One
     nominee-bounded run-sum + the integer predicate on the
     driver-folded (<= nominees+1 row) table finish it.  All-integer,
@@ -896,13 +896,10 @@ def heavy_hitters(ds, capacity: int = 699,
             ds.map_batches(_keyed_counts,
                            batch_format="pyarrow")).materialize()
         total = int(partials.sum("cnt") or 0)
-        marked = distinct.map_batches(
-            lambda b: b.select(["key"]).append_column(
-                "m", pa.array(np.ones(b.num_rows, np.int8))),
-            batch_format="pyarrow")
-        hits = sorted_lookup_join(partials, marked, "key", ["m"])
+        hits = sorted_lookup_join(partials, distinct, "key", (),
+                                  how="semi")
         summed = compact_blocks(sorted_sum_per_group(
-            hits.select_columns(["key", "cnt"]), ["key"], ["cnt"]))
+            hits, ["key"], ["cnt"]))
         tbl = pa.concat_tables(
             [pa.table(b) for b in summed.iter_batches(
                 batch_format="pyarrow", batch_size=None)]

@@ -853,19 +853,19 @@ def label_propagation(edges, max_rounds: int = 64,
 def minhash_dedup(ds, key: str = "doc_id", col: str = "text",
                   num_perm: int = 128, bands: int = 32, shingle_k: int = 3,
                   threshold: float = 0.8, seed: int = 42,
-                  broadcast_budget: int = 2_000_000,
                   broadcast_text_budget: int = 256_000_000):
     """Full near-dedup: LSH candidates → Jaccard verify → distributed
     min-label-propagation connected components → (key, cluster).
 
-    Cluster assignment back onto the corpus: broadcast the (node →
-    cluster) table when it fits ``broadcast_budget`` rows, else a
-    merge-join-as-sort left lookup (``sorted_lookup_join``) so no
-    unbounded dict ever lands on the driver. ``broadcast_text_budget`` is the same
-    byte-budgeted broadcast-vs-join switch for the candidate TEXTS in
-    the verify stage (see verify_jaccard_pairs)."""
-    import ray
-    from zhtml_ray.stages.util import autoscale_pool
+    Cluster assignment back onto the corpus is one left
+    ``sortagg.key_join`` of the (node → cluster) table: broadcast while
+    it fits ``BROADCAST_BYTES``, else a merge-join-as-sort, so no
+    unbounded table ever lands on the driver; unlabelled docs are their
+    own cluster. ``broadcast_text_budget`` is the byte-budgeted
+    broadcast-vs-join switch for the candidate TEXTS in the verify
+    stage (see verify_jaccard_pairs)."""
+    import pyarrow.compute as pc
+    from zhtml_ray.stages.sortagg import key_join
 
     cand = minhash_candidate_pairs(ds, key=key, col=col, num_perm=num_perm,
                                    bands=bands, shingle_k=shingle_k, seed=seed)
@@ -873,45 +873,17 @@ def minhash_dedup(ds, key: str = "doc_id", col: str = "text",
                                     shingle_k=shingle_k, threshold=threshold,
                                     broadcast_text_budget=broadcast_text_budget)
     labels = label_propagation(verified.select_columns(["key_a", "key_b"]))
-
-    n_labels = labels.count()
-    if n_labels <= broadcast_budget:
-        if n_labels == 0:
-            # dup-free corpus: empty labels ds has no schema at all —
-            # broadcast an empty map instead of touching its columns
-            m = {}
-        else:
-            lt = labels.to_pandas()
-            m = dict(zip(lt["node"], lt["lbl"]))
-        ref = ray.put(m)
-
-        # stateless tasks (r5): ray.get of the broadcast map is cached
-        # per worker process — as warm as an actor pool without the
-        # pool's spin-up (the same measured fix as verify_bcast)
-        def assign(batch: pa.Table) -> pa.Table:
-            mm = ray.get(ref)
-            ks = batch[key].to_pylist()
-            cl = [mm.get(k, k) for k in ks]
-            dup = [c != k for c, k in zip(cl, ks)]
-            return batch.append_column("cluster", pa.array(cl)) \
-                        .append_column("is_dup", pa.array(dup, pa.bool_()))
-
-        return ds.map_batches(assign, batch_format="pyarrow")
-
-    # big-label path: merge-join-as-sort left lookup, then fill
-    # unmatched (no drop_empty_blocks scaffolding needed — see
-    # stages/sortagg.py:sorted_lookup_join)
-    from zhtml_ray.stages.sortagg import sorted_lookup_join
-    labels = labels.rename_columns({"node": key, "lbl": "cluster"})
-    joined = sorted_lookup_join(ds, labels, key, ["cluster"], how="left")
+    joined = key_join(ds, labels.rename_columns({"node": key,
+                                                 "lbl": "cluster"}),
+                      key, ["cluster"], how="left")
 
     def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        cl = pc.coalesce(batch["cluster"], batch[key])
-        dup = pc.not_equal(cl, batch[key])
+        # an empty label table types the payload null: cast to the key
+        cl = pc.coalesce(batch["cluster"].cast(batch[key].type),
+                         batch[key])
         return batch.drop_columns(["cluster"]) \
                     .append_column("cluster", cl) \
-                    .append_column("is_dup", dup)
+                    .append_column("is_dup", pc.not_equal(cl, batch[key]))
 
     return joined.map_batches(finish, batch_format="pyarrow")
 

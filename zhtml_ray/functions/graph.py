@@ -1038,31 +1038,32 @@ def indegree_zero_seeds(edges):
                                             batch_format="pyarrow"))
 
 
-def bfs_depth(edges, seeds, max_depth: int = 8,
-              broadcast_budget: int = 20_000_000):
+def bfs_depth(edges, seeds, max_depth: int = 8):
     """Bounded-round BFS depth from a seed set over a distinct
     directed (src, dst) edge Dataset — crawl-frontier depth: how many
     hops from an entry point each url sits. Returns (node, depth) for
     EVERY node in the graph (plus any extra seed nodes); unreached
     nodes carry depth −1. Exact int64, layout/schedule-invariant.
 
-    Per round the frontier (nodes at depth r−1) expands one hop:
+    Per round the frontier (nodes at depth r−1) expands one hop: the
+    edges whose src is in it, one ``sortagg.key_join(how='semi')``
+    whose tier is decided each round —
 
-    * fast tier — while the frontier fits ``broadcast_budget`` bytes
-      it broadcasts ONCE via ``ray.put`` and each edge block keeps
-      matching rows with ``pc.is_in`` (a pure map, no exchange; real
-      frontiers are tiny compared to the corpus);
-    * scale tier — a frontier too big to broadcast attaches through
-      :func:`sorted_lookup_join` (merge join, one range shuffle).
+    * fast tier — while the frontier fits ``BROADCAST_BYTES`` it
+      broadcasts ONCE via ``ray.put`` and each edge block keeps
+      matching rows with ``pc.index_in`` (a pure map, no exchange;
+      real frontiers are tiny compared to the corpus);
+    * scale tier — a frontier too big to broadcast filters the edges
+      through :func:`sorted_lookup_join` (merge join, one range
+      shuffle).
 
     New depths merge by grouped-min (``sorted_first_per_group`` with a
     depth tie key); rounds stop early when a frontier is empty. The
     known-depth table is O(V), never O(E); unreached nodes come from
     one LEFT merge join of the node set at the end."""
-    import ray
     import ray.data as rd
 
-    from zhtml_ray.stages.sortagg import (sorted_first_per_group,
+    from zhtml_ray.stages.sortagg import (key_join, sorted_first_per_group,
                                           sorted_lookup_join)
     from zhtml_ray.stages.util import compact_blocks
 
@@ -1094,42 +1095,18 @@ def bfs_depth(edges, seeds, max_depth: int = 8,
 
     for r in range(1, max_depth + 1):
         frontier = depths.map_batches(
-            lambda b, _r=r: b.filter(pc.equal(b["depth"], _r - 1)),
+            lambda b, _r=r: pa.table({"src": b.filter(
+                pc.equal(b["depth"], _r - 1))["node"]}),
             batch_format="pyarrow").materialize()
         if frontier.count() == 0:
             break
-        fsize = sum(m.size_bytes or 0
-                    for bundle in frontier.iter_internal_ref_bundles()
-                    for _, m in bundle.blocks)
-        if fsize <= broadcast_budget:
-            fset = pa.chunked_array([
-                b["node"].combine_chunks() for b in frontier
-                .iter_batches(batch_size=None, batch_format="pyarrow")
-                if b.num_rows]).combine_chunks()
-            fref = ray.put(fset)
-
-            def hop(b: pa.Table, _r=r, _fref=fref) -> pa.Table:
-                m = pc.is_in(b["src"], value_set=ray.get(_fref))
-                t = b.filter(m)
-                return pa.table({
-                    "node": t["dst"],
-                    "depth": pa.nulls(t.num_rows,
-                                      pa.int64()).fill_null(_r)})
-
-            cand = edges.map_batches(hop, batch_format="pyarrow")
-        else:
-            fr = frontier.map_batches(
-                lambda b: pa.table({"src": b["node"],
-                                    "fd": b["depth"]}),
-                batch_format="pyarrow")
-            j = sorted_lookup_join(edges, fr, "src", ["fd"],
-                                   how="inner")
-            cand = compact_blocks(j).map_batches(
-                lambda b, _r=r: pa.table({
-                    "node": b["dst"],
-                    "depth": pa.nulls(b.num_rows,
-                                      pa.int64()).fill_null(_r)}),
-                batch_format="pyarrow")
+        cand = compact_blocks(key_join(
+            edges, frontier, "src", how="semi")).map_batches(
+            lambda b, _r=r: pa.table({
+                "node": b["dst"],
+                "depth": pa.nulls(b.num_rows,
+                                  pa.int64()).fill_null(_r)}),
+            batch_format="pyarrow")
         depths = compact_blocks(sorted_first_per_group(
             depths.union(cand), ["node"], tie_cols=("depth",)))
 

@@ -344,26 +344,28 @@ GROUP BY p_brand ORDER BY p_brand
 """
 
 
-def q_big_discount_orders(sf_dir: str, broadcast_budget: int = 1_000_000):
+def q_big_discount_orders(sf_dir: str):
     """Semi-join: orders having ≥1 lineitem with discount > 0.08.
     The qualifying key set is made distinct DISTRIBUTED (per-batch
-    `pc.unique` partial + hash-partitioned groupby); if it fits
-    ``broadcast_budget`` rows it broadcasts for a map-side `pc.is_in`
-    filter, otherwise a hash-partitioned ``left_semi`` join — so there
-    is never an unbounded driver-side key set."""
+    `pc.unique` partial + sort-based grouped-first), then
+    ``key_join(how='semi')`` filters orders by it: broadcast for a
+    map-side ``pc.index_in`` while it fits ``BROADCAST_BYTES``, else
+    one range-shuffle merge join — so there is never an unbounded
+    driver-side key set. An empty result is a typed empty Arrow table
+    (Ray's ``to_pandas`` drops every column of an all-empty Dataset)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
-    from zhtml_ray.stages.util import shuffle_partitions
+    from zhtml_ray.stages.sortagg import key_join, sorted_first_per_group
+    from zhtml_ray.stages.util import schema_safe_result
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_discount"])
 
     def qualifying(batch: pa.Table) -> pa.Table:
         keep = batch.filter(pc.greater(batch["l_discount"], 0.08))
-        return pa.table({"l_orderkey": pc.unique(keep["l_orderkey"])})
+        return pa.table({"o_orderkey": pc.unique(keep["l_orderkey"])})
 
     # distributed distinct (the key only ever shuffles — the discount
     # column is dropped first) via the SORT-based grouped-first
@@ -371,42 +373,13 @@ def q_big_discount_orders(sf_dir: str, broadcast_budget: int = 1_000_000):
     # aggregation is ~20× slower than sort + block-local run heads
     # (stages/sortagg.py). Materialized in the object store, NOT on
     # the driver.
-    from zhtml_ray.stages.sortagg import sorted_first_per_group
     distinct = sorted_first_per_group(
         li.map_batches(qualifying, batch_format="pyarrow"),
-        ["l_orderkey"]).materialize()
-
+        ["o_orderkey"])
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_totalprice"])
-
-    n_keys = distinct.count()
-    if n_keys == 0:
-        # no qualifying lineitem: typed empty result (the distinct ds
-        # has NO schema when every map_groups block was empty; and
-        # Ray's to_pandas drops schema for all-empty Datasets, so hand
-        # back a typed Arrow table)
-        from zhtml_ray.stages.util import schema_safe_result
-        return schema_safe_result(
-            orders.map_batches(lambda b: b.slice(0, 0),
-                               batch_format="pyarrow"))
-    if n_keys <= broadcast_budget:
-        # small key set: broadcast once, vectorized pc.is_in per batch
-        keys = pa.array(sorted(distinct.to_pandas()["l_orderkey"]))
-        ref = ray.put(keys)
-
-        def semi(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                pc.is_in(batch["o_orderkey"], value_set=ray.get(ref)))
-
-        return orders.map_batches(semi, batch_format="pyarrow")
-
-    # big key set: hash-partitioned semi-join, no driver materialization.
-    # drop_empty_blocks: map_groups emits 0-row EMPTY-schema blocks that
-    # pyarrow's hash join rejects on the build side.
-    from zhtml_ray.stages.util import drop_empty_blocks
-    return orders.join(drop_empty_blocks(distinct), "left_semi",
-                       num_partitions=shuffle_partitions(),
-                       on=("o_orderkey",), right_on=("l_orderkey",))
+    return schema_safe_result(
+        key_join(orders, distinct, "o_orderkey", how="semi"))
 
 
 SQL_BIG_DISCOUNT_ORDERS = """
@@ -420,9 +393,9 @@ def q3_shipping(sf_dir: str, seg: str = "BUILDING",
                 cutoff: str = "1998-06-01"):
     """TPC-H Q3 shape (shipping priority): three-table join, composed
     scale-first — the segment-filtered customer keys broadcast once as
-    a semi-join set (dim-sized; the budgeted fallback for a fact-sized
-    side is ``q_big_discount_orders``'s pattern), lineitem revenue
-    pre-aggregates per batch THEN per orderkey, and the order
+    a semi-join set (dim-sized; a fact-sized side would take
+    ``sortagg.key_join``, which falls back to a merge join), lineitem
+    revenue pre-aggregates per batch THEN per orderkey, and the order
     attributes attach via ``sorted_lookup_join`` (merge-join-as-sort,
     measured ~5× cheaper than the hash join on this Ray version). Only
     the top-10 result materializes on the driver."""
@@ -607,21 +580,18 @@ GROUP BY c_count ORDER BY custdist DESC, c_count DESC
 """
 
 
-def q_cust_no_urgent_orders(sf_dir: str, broadcast_budget: int = 1_000_000):
+def q_cust_no_urgent_orders(sf_dir: str):
     """Anti-join (NOT EXISTS): customers with no '1-URGENT' order —
-    the blocklist-filter shape of a crawl pipeline. Mirrors
-    ``q_big_discount_orders``'s budgeted plan: the qualifying key set
-    is made distinct DISTRIBUTED (sort-based grouped-first); under the
-    budget it broadcasts once for an inverted map-side ``pc.is_in``,
-    above it the anti-join runs as ``sorted_lookup_join(how='left')``
-    with a marker payload + null filter — one range shuffle, nothing
-    unbounded on the driver either way."""
+    the blocklist-filter shape of a crawl pipeline. The qualifying key
+    set is made distinct DISTRIBUTED (sort-based grouped-first), then
+    ``key_join(how='anti')`` drops its customers: an inverted map-side
+    ``pc.index_in`` while the set fits ``BROADCAST_BYTES``, else one
+    range-shuffle merge join — nothing unbounded on the driver either
+    way."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
-    from zhtml_ray.stages.sortagg import (sorted_first_per_group,
-                                          sorted_lookup_join)
+    from zhtml_ray.stages.sortagg import key_join, sorted_first_per_group
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey", "o_orderpriority"])
@@ -632,38 +602,10 @@ def q_cust_no_urgent_orders(sf_dir: str, broadcast_budget: int = 1_000_000):
 
     distinct = sorted_first_per_group(
         orders.map_batches(urgent_keys, batch_format="pyarrow"),
-        ["c_custkey"]).materialize()
-
+        ["c_custkey"])
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_acctbal"])
-
-    n_keys = distinct.count()
-    if n_keys == 0:
-        return cust
-    if n_keys <= broadcast_budget:
-        keys = pa.array(sorted(distinct.to_pandas()["c_custkey"]))
-        ref = ray.put(keys)
-
-        def anti(batch: pa.Table) -> pa.Table:
-            hit = pc.is_in(batch["c_custkey"], value_set=ray.get(ref))
-            return batch.filter(pc.invert(pc.fill_null(hit, False)))
-
-        return cust.map_batches(anti, batch_format="pyarrow")
-
-    # big key set: merge-join-as-sort with a marker payload, keep nulls
-    def mark(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_hit", pa.array([1] * b.num_rows, pa.int8()))
-
-    marked = distinct.map_batches(mark, batch_format="pyarrow")
-    joined = sorted_lookup_join(cust, marked, "c_custkey", ["_hit"],
-                                how="left")
-
-    def keep_missing(b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_null(b["_hit"])) \
-            .select(["c_custkey", "c_acctbal"])
-
-    return joined.map_batches(keep_missing, batch_format="pyarrow")
+    return key_join(cust, distinct, "c_custkey", how="anti")
 
 
 SQL_CUST_NO_URGENT_ORDERS = """
@@ -897,12 +839,12 @@ def q4_priority_exists(sf_dir: str, disc: float = 0.09,
     """TPC-H Q4 shape (order-priority histogram over orders that HAVE
     at least one qualifying lineitem — EXISTS semi-join): qualifying
     orderkeys are made distinct DISTRIBUTED (per-batch Arrow unique →
-    sort-based grouped-first), then attach to date-filtered orders as
-    a marker payload via ``sorted_lookup_join(how='left')`` — the
-    always-shuffle counterpart of the budgeted-broadcast semi-join
-    (`q_big_discount_orders`) for when the qualifying set is a large
-    fraction of orders and no broadcast budget can hold it. Per-batch
-    priority counts partial-combine; ≤5 rows reach the driver."""
+    sort-based grouped-first), then filter date-filtered orders via
+    ``sorted_lookup_join(how='semi')`` — the always-shuffle
+    counterpart of ``key_join``'s broadcast tier for when the
+    qualifying set is a large fraction of orders and no broadcast
+    budget can hold it. Per-batch priority counts partial-combine; ≤5
+    rows reach the driver."""
     import datetime as _dt
 
     import pyarrow as pa
@@ -921,14 +863,8 @@ def q4_priority_exists(sf_dir: str, disc: float = 0.09,
         t = b.filter(pc.greater(b["l_discount"], disc))
         return pa.table({"o_orderkey": pc.unique(t["l_orderkey"])})
 
-    def mark(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": b["o_orderkey"],
-            "_hit": pa.array([1] * b.num_rows, pa.int8())})
-
-    marked = compact_blocks(sorted_first_per_group(
-        line.map_batches(qual_keys, batch_format="pyarrow")
-            .map_batches(mark, batch_format="pyarrow"),
+    qualifying = compact_blocks(sorted_first_per_group(
+        line.map_batches(qual_keys, batch_format="pyarrow"),
         ["o_orderkey"]))
 
     lo_ts = _dt.datetime.fromisoformat(lo)
@@ -944,12 +880,11 @@ def q4_priority_exists(sf_dir: str, disc: float = 0.09,
         return b.filter(keep).select(["o_orderkey", "o_orderpriority"])
 
     o_f = orders.map_batches(date_filter, batch_format="pyarrow")
-    joined = sorted_lookup_join(o_f, marked, "o_orderkey", ["_hit"],
-                                how="left")
+    joined = sorted_lookup_join(o_f, qualifying, "o_orderkey", (),
+                                how="semi")
 
     def count_partial(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.is_valid(b["_hit"]))
-        g = pa.table({"o_orderpriority": t["o_orderpriority"]}) \
+        g = pa.table({"o_orderpriority": b["o_orderpriority"]}) \
             .group_by("o_orderpriority") \
             .aggregate([("o_orderpriority", "count")])
         return g.rename_columns(["o_orderpriority", "part_n"])
@@ -987,7 +922,6 @@ def q_bloom_join_revenue(sf_dir: str, priority: str = "1-URGENT",
     the true match rate; a probe regression fails
     tests/test_sketch.py's survivor-bound assert). Bitmap build is
     bitwise-OR mergeable → layout/schedule-invariant."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
@@ -1003,13 +937,11 @@ def q_bloom_join_revenue(sf_dir: str, priority: str = "1-URGENT",
 
     def urgent(b: pa.Table) -> pa.Table:
         t = b.filter(pc.equal(b["o_orderpriority"], priority))
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "_hit": pa.array(
-                             np.ones(t.num_rows, np.int8))})
+        return t.select(["o_orderkey"])
 
-    marked = orders.map_batches(urgent, batch_format="pyarrow") \
+    urgent_keys = orders.map_batches(urgent, batch_format="pyarrow") \
         .materialize()
-    bitmap = bloom_from_dataset(marked, "o_orderkey",
+    bitmap = bloom_from_dataset(urgent_keys, "o_orderkey",
                                 log2_bits=log2_bits, k=k)
     bref = ray.put(bitmap)
 
@@ -1025,8 +957,8 @@ def q_bloom_join_revenue(sf_dir: str, priority: str = "1-URGENT",
         return pa.table({"o_orderkey": t["l_orderkey"], "rev": rev})
 
     survivors = line.map_batches(prefilter, batch_format="pyarrow")
-    joined = sorted_lookup_join(survivors, marked, "o_orderkey",
-                                ["_hit"], how="inner")
+    joined = sorted_lookup_join(survivors, urgent_keys, "o_orderkey",
+                                (), how="semi")
 
     def partial(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1252,7 +1184,8 @@ def _sql_link_triangles() -> str:
 def q_crawl_depth(sf_dir: str):
     """BFS crawl depth of every url from the graph's entry points
     (X90): seeds = in-degree-0 nodes, bounded-round frontier expansion
-    (budgeted broadcast `pc.is_in` fast tier / merge-join scale tier),
+    (one ``sortagg.key_join`` semi-join per round: broadcast
+    ``pc.index_in`` fast tier / merge-join scale tier),
     grouped-min depth merge per round, unreached nodes at −1. Exact
     int64 — no pin. Oracle: independent unrolled-round DuckDB plan
     over the pinned links golden."""
@@ -3105,8 +3038,7 @@ LIMIT 20
 
 def q22_idle_balance(sf_dir: str,
                      segments=("AUTOMOBILE", "HOUSEHOLD"),
-                     before: str = "1996-01-01",
-                     broadcast_budget: int = 1_000_000):
+                     before: str = "1996-01-01"):
     """TPC-H Q22 shape (idle high-balance accounts: customers in given
     segments with above-average positive balance and NO order before
     a cutoff; the phone-prefix of real Q22 maps to ``c_mktsegment``
@@ -3118,21 +3050,17 @@ def q22_idle_balance(sf_dir: str,
         the derived average is the identical double (CLAUDE.md
         pinned-moment rule);
       * "has any order" is a distributed distinct
-        (``sorted_first_per_group``) that broadcasts under a byte
-        budget for an inverted ``pc.is_in`` anti-join, falling back to
-        a marker ``sorted_lookup_join`` above it — the
-        ``q_cust_no_urgent_orders`` pattern;
+        (``sorted_first_per_group``) that ``key_join(how='anti')``
+        removes — the ``q_cust_no_urgent_orders`` pattern;
       * the final per-segment count/sum is a ≤ |segments|-row reduce.
     """
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from zhtml_ray.stages.sortagg import (sorted_first_per_group,
-                                          sorted_lookup_join)
+    from zhtml_ray.stages.sortagg import key_join, sorted_first_per_group
     from zhtml_ray.stages.util import drop_empty_blocks
 
     seg_arr = pa.array(list(segments))
@@ -3168,7 +3096,7 @@ def q22_idle_balance(sf_dir: str,
 
     has_order = sorted_first_per_group(
         orders.map_batches(o_keys, batch_format="pyarrow"),
-        ["c_custkey"]).materialize()
+        ["c_custkey"])
 
     def qualify(b: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_in(b["c_mktsegment"], value_set=seg_arr),
@@ -3179,32 +3107,7 @@ def q22_idle_balance(sf_dir: str,
     qualified = drop_empty_blocks(
         cust.map_batches(qualify, batch_format="pyarrow"))
 
-    n_keys = has_order.count()
-    if n_keys and n_keys <= broadcast_budget:
-        keys = pa.array(sorted(has_order.to_pandas()["c_custkey"]))
-        ref = ray.put(keys)
-
-        def anti(b: pa.Table) -> pa.Table:
-            hit = pc.is_in(b["c_custkey"], value_set=ray.get(ref))
-            return b.filter(pc.invert(pc.fill_null(hit, False)))
-
-        idle = qualified.map_batches(anti, batch_format="pyarrow")
-    elif n_keys:
-        def mark(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "_hit", pa.array([1] * b.num_rows, pa.int8()))
-
-        marked = has_order.map_batches(mark, batch_format="pyarrow")
-        joined = sorted_lookup_join(qualified, marked, "c_custkey",
-                                    ["_hit"], how="left")
-
-        def keep_missing(b: pa.Table) -> pa.Table:
-            return b.filter(pc.is_null(b["_hit"])) \
-                .select(["c_custkey", "c_acctbal", "c_mktsegment"])
-
-        idle = joined.map_batches(keep_missing, batch_format="pyarrow")
-    else:
-        idle = qualified
+    idle = key_join(qualified, has_order, "c_custkey", how="anti")
 
     def seg_partial(b: pa.Table) -> pa.Table:
         g = pa.table({"c_mktsegment": b["c_mktsegment"],

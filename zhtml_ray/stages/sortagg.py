@@ -18,6 +18,9 @@ count, not data:
 - ``sorted_bucket_apply`` hands a caller's run function whole runs,
   the edge runs of all blocks regrouped and re-sorted in one task
   (``sorted_lookup_join`` is built on it).
+
+``key_join`` picks between a broadcast lookup and
+``sorted_lookup_join`` by the lookup's measured size.
 """
 
 from __future__ import annotations
@@ -160,16 +163,12 @@ def sorted_sum_per_group(ds, group_cols, sum_cols):
                             for c in sum_cols}})
 
     def interior(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return empty
         starts, keys, sums = block_runsums(b)
         if len(starts) <= 2:
             return empty
         return pick(keys, sums, np.arange(1, len(starts) - 1))
 
     def edge_partials(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return empty
         starts, keys, sums = block_runsums(b)
         sel = np.unique([0, len(starts) - 1])
         return pick(keys, sums, sel)
@@ -274,8 +273,10 @@ def sorted_lookup_join(big, lookup, key_col, payload_cols, how="inner"):
     keeps unmatched big rows with null payloads; ``'inner'`` drops
     them; ``'full'`` additionally emits one row per lookup key with NO
     big rows (key + payloads populated, big's other columns null) —
-    the FULL OUTER join, still the same single range shuffle. Output
-    columns: big's columns (in order) + payload_cols."""
+    the FULL OUTER join, still the same single range shuffle.
+    ``'semi'`` / ``'anti'`` keep the big rows whose key is / is not in
+    ``lookup`` (which may then repeat keys); pass no payload_cols.
+    Output columns: big's columns (in order) + payload_cols."""
     import numpy as np
 
     big_schema = big.schema().base_schema
@@ -323,7 +324,9 @@ def sorted_lookup_join(big, lookup, key_col, payload_cols, how="inner"):
              .to_numpy(zero_copy_only=False) != 0)
         lens = ends - starts
         head_ok = ~S[starts]
-        keep = (S & np.repeat(head_ok, lens)) if how == "inner" else S
+        hit = np.repeat(head_ok, lens)
+        keep = {"inner": S & hit, "semi": S & hit,
+                "anti": S & ~hit}.get(how, S)
         pos = np.flatnonzero(keep)
         run_of = np.repeat(np.arange(len(starts)), lens)[pos]
         # null head index → null payload via Arrow take semantics
@@ -351,3 +354,76 @@ def sorted_lookup_join(big, lookup, key_col, payload_cols, how="inner"):
 
     return sorted_bucket_apply(tagged, key_col, [key_col, "_src"],
                                join_runs, empty_result)
+
+
+# A lookup side of at most this many bytes (block metadata) broadcasts
+# in ``key_join``; a larger one shuffles. 1M int64 keys are 8 MB; the
+# largest lookup of the sf0.1 queries, crawl_depth's first BFS
+# frontier, is 1.7 MB.
+BROADCAST_BYTES = 16 << 20
+
+
+def key_join(big, lookup, key_col, payload_cols=(), how="inner"):
+    """Keyed join of ``big`` against ``lookup`` on ``key_col`` (the
+    same name on both sides), ``how`` in ``inner`` / ``left`` (attach
+    ``payload_cols``, as ``sorted_lookup_join``) or ``semi`` / ``anti``
+    (filter ``big``, no payloads). ``lookup`` materializes and its
+    block-metadata size picks the tier:
+
+    * broadcast — at most ``BROADCAST_BYTES``: one ``ray.put`` of its
+      columns, then one map over ``big`` probing them with
+      ``pc.index_in`` (block-as-batch, ``big``'s rows in order);
+    * sort — otherwise: ``sorted_lookup_join``, one range shuffle of
+      both sides, nothing unbounded on the driver.
+
+    For ``inner`` / ``left`` ``lookup`` must be unique per key. An
+    empty ``lookup`` needs no schema: a payload it does not type comes
+    out null-typed. Output columns: big's columns + payload_cols."""
+    import ray.data as rd
+
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"key_join: unknown how={how!r}")
+    payload_cols = list(payload_cols)
+    lookup = lookup.materialize()
+    if lookup.count() == 0:
+        # Ray drops or keeps stale schemas on zero-row blocks: retype
+        sch = lookup.schema()
+        names = sch.names if sch is not None else []
+        lookup = rd.from_arrow(pa.table({
+            c: pa.array([], sch.base_schema.field(c).type
+                        if c in names else pa.null())
+            for c in [key_col, *payload_cols]}))
+    if lookup.size_bytes() <= BROADCAST_BYTES:
+        return broadcast_lookup_join(big, lookup, key_col, payload_cols,
+                                     how)
+    return sorted_lookup_join(big, lookup, key_col, payload_cols, how)
+
+
+def broadcast_lookup_join(big, lookup, key_col, payload_cols, how):
+    """``key_join``'s broadcast tier over a materialized ``lookup``."""
+    import pyarrow.compute as pc
+    import ray
+
+    cols = [key_col, *payload_cols]
+    tables = [t.select(cols) for t in ray.get(lookup.to_arrow_refs())
+              if t.num_rows]
+    lk = (pa.concat_tables(tables, promote_options="default") if tables
+          else lookup.schema().base_schema.empty_table().select(cols))
+    ref = ray.put({c: lk[c].combine_chunks() for c in cols})
+
+    def probe(b: pa.Table) -> pa.Table:
+        arrs = ray.get(ref)
+        col = b[key_col].combine_chunks()
+        idx = pc.index_in(col, value_set=arrs[key_col].cast(col.type))
+        if how != "left":
+            b = b.filter(pc.is_null(idx) if how == "anti"
+                         else pc.is_valid(idx))
+            idx = idx.drop_null()
+        for p in payload_cols:
+            if p in b.column_names:
+                raise ValueError(f"key_join: payload column {p!r} "
+                                 "is already in big")
+            b = b.append_column(p, arrs[p].take(idx))
+        return b
+
+    return big.map_batches(probe, batch_size=None, batch_format="pyarrow")

@@ -144,21 +144,15 @@ def schema_safe_result(ds):
     return pa.table({f.name: pa.array([], f.type) for f in schema})
 
 
-def shuffle_partitions() -> int:
-    """Partition count for hash-shuffle operators (joins): ~2 waves of
-    tasks per CPU, floor 8."""
-    return max(8, cluster_cpus() * 2)
-
-
 def sized_partitions(n_rows: int, rows_per_part: int = 100_000) -> int:
-    """Hash-shuffle partition count sized to the DATA, capped by
-    ``shuffle_partitions()``: every partition is an aggregator actor, so
-    a 64-way shuffle of a 200k-row label table pays ~60 actor spin-ups
-    for nothing (measured: label-propagation rounds dropped from ~12 s
-    to seconds on the 200k-doc dedup bench). Floor 2 keeps the operator
-    distributed."""
+    """Hash-shuffle partition count sized to the DATA, capped at ~2
+    waves of tasks per CPU (floor 8): every partition is an aggregator
+    actor, so a 64-way shuffle of a 200k-row label table pays ~60
+    actor spin-ups for nothing (measured: label-propagation rounds
+    dropped from ~12 s to seconds on the 200k-doc dedup bench). Floor
+    2 keeps the operator distributed."""
     import math
-    return max(2, min(shuffle_partitions(),
+    return max(2, min(max(8, cluster_cpus() * 2),
                       math.ceil(max(1, n_rows) / rows_per_part)))
 
 
