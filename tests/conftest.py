@@ -20,9 +20,12 @@ def ray_session():
 
 @pytest.fixture
 def sort_tier(monkeypatch):
-    """``with sort_tier():`` runs every ``sortagg.key_join`` inside on
-    its sort tier (no lookup fits a negative ``BROADCAST_BYTES``);
-    ``sort_tier(False)`` leaves the tier to the lookup's size."""
+    """``with sort_tier():`` runs every reader of
+    ``sortagg.BROADCAST_BYTES`` inside on its sort tier, since no table
+    fits a negative budget: ``sortagg.key_join``,
+    ``corpusstats.ngram_logprob``'s scorer and
+    ``corpusstats.heavy_hitters``' nominee recount.
+    ``sort_tier(False)`` leaves the tier to the measured size."""
     import contextlib
 
     from zhtml_ray.stages import sortagg

@@ -143,44 +143,6 @@ def test_vocab_doc_freq_differential(ray_session):
     assert got == exp
 
 
-# ---------------------------------------------------- unigram_logprob
-
-def test_unigram_logprob_paths_agree(ray_session):
-    """The budgeted broadcast fast path and the merge-join-as-sort
-    fallback (budget=0) must produce identical pinned scores."""
-    import math
-    import ray.data as rd
-    from collections import Counter
-    rng = random.Random(5)
-    vocab = ["aa", "b", "ccc", "dd"]
-    texts = [" ".join(rng.choice(vocab)
-                      for _ in range(rng.randrange(0, 20)))
-             for _ in range(150)]
-    ds = rd.from_arrow(_tbl(texts)).repartition(6)
-    fast = {r["doc_id"]: (r["n_tokens"], r["mean_logprob"])
-            for r in corpusstats.unigram_logprob(ds).take_all()}
-    ds2 = rd.from_arrow(_tbl(texts)).repartition(6)
-    slow = {r["doc_id"]: (r["n_tokens"], r["mean_logprob"])
-            for r in corpusstats.unigram_logprob(
-                ds2, broadcast_budget=0).take_all()}
-    assert fast == slow
-    # brute-force oracle
-    freq = Counter()
-    for t in texts:
-        freq.update(t.split())
-    total = sum(freq.values())
-    for i, t in enumerate(texts):
-        words = t.split()
-        if not words:
-            assert i not in fast
-            continue
-        s = sum(math.log(freq[w] / total) for w in words) / len(words)
-        import numpy as np
-        exp = float(np.floor(np.array([s * 1e6 + 0.5]))[0] / 1e6)
-        assert fast[i][0] == len(words)
-        assert fast[i][1] == pytest.approx(exp, abs=2e-6)
-
-
 # ------------------------------------------------------ mask_dup_spans
 
 def _mask_oracle(texts, n):
@@ -310,58 +272,6 @@ def test_split_encode_matches_python_split_exactly():
         vocab0.to_pylist()
 
 
-def test_bigram_logprob_paths_and_reference(ray_session, tmp_path):
-    """Both budget paths (broadcast vs merge-join) emit identical rows,
-    and they match an independent dict-counting reference (conditional
-    P sums to 1 per head; docs with <2 tokens absent; doc-boundary
-    pairs never counted)."""
-    import math
-    from collections import Counter
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from zhtml_ray.functions.corpusstats import bigram_logprob
-
-    rng = np.random.default_rng(13)
-    words = ["a", "b", "c", "dd"]
-    texts = [" ".join(rng.choice(words, rng.integers(0, 12)).tolist())
-             for _ in range(80)] + ["", "solo", None, "a b"]
-    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                  "text": pa.array(texts, pa.string())})
-    pq.write_table(t, tmp_path / "documents.parquet")
-    ds = rd.read_parquet(str(tmp_path / "documents.parquet")) \
-        .repartition(7)
-
-    fast = {r["doc_id"]: (r["n_bigrams"], r["mean_logprob"])
-            for r in bigram_logprob(ds).take_all()}
-    slow = {r["doc_id"]: (r["n_bigrams"], r["mean_logprob"])
-            for r in bigram_logprob(ds, broadcast_budget=0).take_all()}
-    assert fast == slow
-
-    bf, hf = Counter(), Counter()
-    for s in texts:
-        toks = (s or "").split()
-        for p in zip(toks, toks[1:]):
-            bf[p] += 1
-            hf[p[0]] += 1
-    want = {}
-    for i, s in enumerate(texts):
-        toks = (s or "").split()
-        pairs = list(zip(toks, toks[1:]))
-        if not pairs:
-            continue
-        tot = sum(math.log(bf[p] / hf[p[0]]) for p in pairs)
-        m = tot / len(pairs)
-        want[i] = (len(pairs),
-                   math.floor(m * 1e6 + 0.5) / 1e6)
-    assert set(fast) == set(want)
-    for k in want:
-        assert fast[k][0] == want[k][0]
-        assert abs(fast[k][1] - want[k][1]) < 2e-6  # pin-boundary slack
-
-
 # ------------------------------------------------------ heavy_hitters
 
 def _hh_oracle(texts, c1):
@@ -381,7 +291,7 @@ def _hh_got(tbl):
 
 
 def test_heavy_hitters_matches_bruteforce_and_paths(ray_session,
-                                                    tmp_path):
+                                                    tmp_path, sort_tier):
     """Exact output vs a Counter brute force on a skewed corpus, for
     several capacities, across a multi-block layout; the over-budget
     merge-join fallback emits identical rows."""
@@ -407,8 +317,8 @@ def test_heavy_hitters_matches_bruteforce_and_paths(ray_session,
     for cap in (9, 49, 399):
         got = _hh_got(heavy_hitters(ds, capacity=cap))
         assert got == _hh_oracle(texts, cap + 1)
-        slow = _hh_got(heavy_hitters(ds, capacity=cap,
-                                     broadcast_budget=0))
+        with sort_tier():
+            slow = _hh_got(heavy_hitters(ds, capacity=cap))
         assert slow == got
 
 
@@ -449,54 +359,102 @@ def test_heavy_hitters_empty_and_degenerate(ray_session):
     assert got == {("a", "b"): 3, ("b", "a"): 2}
 
 
-# ---------------------------------------------------- trigram_logprob
+# ---------------------------------------------------- n-gram LM
 
-def test_trigram_logprob_paths_and_reference(ray_session, tmp_path):
-    """Both budget paths emit identical rows and match an independent
-    dict-counting reference (conditional P sums to 1 per (w1,w2)
-    context; docs with <3 tokens absent; doc-boundary triples never
-    counted)."""
+def _ngrams(text, n):
+    toks = (text or "").split()
+    return list(zip(*(toks[i:] for i in range(n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ngram_counts_batch_matches_zip_count(n):
+    """The per-batch kernel's (key, ctx, cnt) rows equal a pure-Python
+    ``zip`` count: no n-gram across a doc boundary, ctx the first n-1
+    words; a batch whose docs are all shorter than n gives no row."""
+    rng = random.Random(n)
+    words = ["a", "b", "c", "dd", "é"]
+    texts = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 9)))
+             for _ in range(60)] + ["", None, "solo", "a b", "a b c"]
+    t = corpusstats.ngram_counts_batch(_tbl(texts), n)
+    assert t.schema.names == ["key", "ctx", "cnt"]
+    got = {}
+    for key, ctx, cnt in zip(*(t[c].to_pylist() for c in t.schema.names)):
+        gram = tuple(key.split("\x1f"))
+        assert ctx == "\x1f".join(gram[:-1])
+        got[gram] = cnt
+    assert got == Counter(g for s in texts for g in _ngrams(s, n))
+
+    short = [" ".join(f"w{j}" for j in range(n - 1)), "", None] * 3
+    empty = corpusstats.ngram_counts_batch(_tbl(short), n)
+    assert empty.num_rows == 0
+    assert empty.schema == t.schema
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ngram_logprob_tiers_and_reference(ray_session, tmp_path,
+                                           monkeypatch, sort_tier, n):
+    """Both scoring tiers (broadcast under ``BROADCAST_BYTES``, the
+    merge join under ``sort_tier()``) emit identical rows, and they
+    match an independent dict-counting reference: ln(c(g)/c(ctx)) with
+    the token total as a unigram's context count (each conditional
+    distribution sums to 1), docs with fewer than n tokens absent,
+    doc-boundary n-grams never counted."""
     import math
 
-    import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from zhtml_ray.functions.corpusstats import trigram_logprob
+    from zhtml_ray.functions.corpusstats import ngram_logprob
+    from zhtml_ray.stages import sortagg
 
-    rng = np.random.default_rng(29)
+    joined_on = []
+    real = sortagg.sorted_lookup_join
+
+    def spy(big, lookup, key_col, *a, **kw):
+        joined_on.append(key_col)
+        return real(big, lookup, key_col, *a, **kw)
+
+    monkeypatch.setattr(sortagg, "sorted_lookup_join", spy)
+    rng = np.random.default_rng({1: 5, 2: 13, 3: 29}[n])
     words = ["a", "b", "c", "dd"]
     texts = [" ".join(rng.choice(words, rng.integers(0, 12)).tolist())
              for _ in range(80)] + ["", "solo", None, "a b", "a b c"]
-    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                  "text": pa.array(texts, pa.string())})
-    pq.write_table(t, tmp_path / "documents.parquet")
+    pq.write_table(_tbl(texts), tmp_path / "documents.parquet")
     ds = rd.read_parquet(str(tmp_path / "documents.parquet")) \
         .repartition(7)
+    count_col = ("n_tokens", "n_bigrams", "n_trigrams")[n - 1]
 
-    fast = {r["doc_id"]: (r["n_trigrams"], r["mean_logprob"])
-            for r in trigram_logprob(ds).take_all()}
-    slow = {r["doc_id"]: (r["n_trigrams"], r["mean_logprob"])
-            for r in trigram_logprob(ds, broadcast_budget=0)
-            .take_all()}
+    def scores():
+        return {r["doc_id"]: (r[count_col], r["mean_logprob"])
+                for r in ngram_logprob(ds, n).take_all()}
+
+    fast = scores()
+    assert "key" not in joined_on  # the broadcast scorer ran
+    with sort_tier():
+        slow = scores()
+    assert "key" in joined_on  # the merge-join scorer ran
     assert fast == slow
 
-    tf, cf = Counter(), Counter()
+    gf, cf = Counter(), Counter()
     for s in texts:
-        toks = (s or "").split()
-        for tr in zip(toks, toks[1:], toks[2:]):
-            tf[tr] += 1
-            cf[tr[:2]] += 1
+        for g in _ngrams(s, n):
+            gf[g] += 1
+            cf[g[:-1]] += 1
     want = {}
     for i, s in enumerate(texts):
-        toks = (s or "").split()
-        tris = list(zip(toks, toks[1:], toks[2:]))
-        if not tris:
+        grams = _ngrams(s, n)
+        if not grams:
             continue
-        m = sum(math.log(tf[tr] / cf[tr[:2]]) for tr in tris) \
-            / len(tris)
-        want[i] = (len(tris), math.floor(m * 1e6 + 0.5) / 1e6)
-    assert fast == want
+        m = sum(math.log(gf[g] / cf[g[:-1]]) for g in grams) / len(grams)
+        want[i] = (len(grams), math.floor(m * 1e6 + 0.5) / 1e6)
+    assert set(fast) == set(want)
+    for k in want:
+        assert fast[k][0] == want[k][0]
+        assert abs(fast[k][1] - want[k][1]) < 2e-6  # pin-boundary slack
+    if n == 3:
+        assert fast == want
     # conditional distributions sum to 1 per context
-    for ctx in set(cf):
-        assert sum(tf[tr] for tr in tf if tr[:2] == ctx) == cf[ctx]
+    for ctx in cf:
+        assert sum(gf[g] for g in gf if g[:-1] == ctx) == cf[ctx]
+    with pytest.raises(ValueError):
+        ngram_logprob(ds, 4)

@@ -180,6 +180,27 @@ def test_big_discount_orders_empty_qualifying_set(ray_session, tmp_path):
     assert list(out.columns) == ["o_orderkey", "o_totalprice"]
 
 
+def test_cust_no_urgent_orders_every_customer_urgent(ray_session,
+                                                     tmp_path):
+    """Every customer has a 1-URGENT order → the anti-join keeps no
+    customer, and the empty answer still carries its typed columns."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from zhtml_ray.pipelines.queries import q_cust_no_urgent_orders
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([1, 2, 3], pa.int64()),
+        "c_acctbal": pa.array([5.0, 6.0, 7.0], pa.float64())}),
+        str(tmp_path / "customer.parquet"))
+    pq.write_table(pa.table({
+        "o_custkey": pa.array([1, 2, 3, 2], pa.int64()),
+        "o_orderpriority": pa.array(
+            ["1-URGENT", "1-URGENT", "1-URGENT", "5-LOW"])}),
+        str(tmp_path / "orders.parquet"))
+    out = q_cust_no_urgent_orders(str(tmp_path)).to_pandas()
+    assert len(out) == 0
+    assert list(out.columns) == ["c_custkey", "c_acctbal"]
+
+
 def test_hostile_pages_in_pipeline_bounded_wall(ray_session, tmp_path):
     """Adversarial crawl pages mixed into a normal shard must neither
     stall an actor nor poison neighbors: every hostile shape here was

@@ -49,8 +49,8 @@ from perfbench.session import (  # noqa: E402
     Deadline, affinity_cpus, cpu_times, kill_session, ray_temp_dir,
     steal_pct)
 from zhtml_ray.functions.corpusstats import (  # noqa: E402
-    bigram_logprob, dup_ngrams, mask_dup_spans, rep_signals_batch,
-    unigram_logprob, vocab_doc_freq)
+    dup_ngrams, mask_dup_spans, ngram_logprob, rep_signals_batch,
+    vocab_doc_freq)
 from zhtml_ray.functions.dedup import (  # noqa: E402
     label_propagation, minhash_dedup)
 from zhtml_ray.functions.graph import (  # noqa: E402
@@ -261,8 +261,8 @@ OPS: dict[str, Op] = {
         rd.read_parquet(p), n=10)),
     "docs:chunk_docs": Op(lambda p: rd.read_parquet(p).map_batches(
         chunk_docs_batch, batch_format="pyarrow")),
-    "docs:bigram_logprob": Op(lambda p: bigram_logprob(
-        rd.read_parquet(p, columns=["doc_id", "text"]))),
+    "docs:bigram_logprob": Op(lambda p: ngram_logprob(
+        rd.read_parquet(p, columns=["doc_id", "text"]), 2)),
     # rows: postings written (parquet metadata)
     "docs:invidx_build": Op(lambda p: rd.read_parquet(_invidx(p))),
     "docs:invidx_probe": Op(
@@ -282,8 +282,8 @@ OPS: dict[str, Op] = {
     "docs:vocab_df": Op(lambda p: vocab_doc_freq(
         rd.read_parquet(p), k=100)),
     "docs:dup_ngrams": Op(lambda p: dup_ngrams(rd.read_parquet(p), n=5)),
-    "docs:unigram_logprob": Op(lambda p: unigram_logprob(
-        rd.read_parquet(p))),
+    "docs:unigram_logprob": Op(lambda p: ngram_logprob(
+        rd.read_parquet(p), 1)),
     **_registry("docsdir", """
         shuffle_order incremental_dedup top_words tfidf_top_terms
         pmi_collocations snapshot_diff heavy_hitters ppl_buckets

@@ -25,6 +25,15 @@ Scale notes (the part that matters at 10^12 docs):
   inside the batch — the combiner) so the shuffle moves one row per
   (batch, word), not one per token; the cross-batch sum is a single
   sorted run-sum pass, then a tiny top-k sort+limit.
+* ``ngram_logprob(ds, n)`` is the one order-n LM scorer (n = 1..3):
+  ``ngram_counts_batch`` counts each batch's n-grams (one split+encode,
+  a same-doc mask, one lexsort run count), one sorted run-sum gives
+  the frequencies and a run-sum over THAT table the context counts.
+  The (key, lp) table's block-metadata size against
+  ``sortagg.BROADCAST_BYTES`` picks the scoring tier: a fused
+  ``ray.put`` + ``pc.index_in`` + per-doc ``reduceat`` map, or
+  ``sorted_lookup_join`` + per-doc run sums, nothing unbounded on the
+  driver either way.
 """
 
 from __future__ import annotations
@@ -458,6 +467,17 @@ def vocab_partial_df(batch: pa.Table) -> pa.Table:
         "df": pa.array(df_per_code[present], pa.int64())})
 
 
+def _sum_runs(key: str, col: str):
+    """``sorted_bucket_apply`` run function: one (key, summed ``col``)
+    row per run."""
+    def runs(b: pa.Table, starts, ends) -> pa.Table:
+        v = b[col].combine_chunks().to_numpy(zero_copy_only=False)
+        return pa.table({key: b[key].take(pa.array(starts, pa.int64())),
+                         col: pa.array(np.add.reduceat(v, starts),
+                                       pa.int64())})
+    return runs
+
+
 def vocab_doc_freq(ds, k: int = 100):
     """Top-``k`` corpus words by document frequency (ties broken by
     word ascending, pinned identically in the SQL oracle). Partial
@@ -474,27 +494,58 @@ def vocab_doc_freq(ds, k: int = 100):
     return total.sort(["df", "word"], descending=[True, False]).limit(k)
 
 
-# ---------------------------------------------------- unigram_logprob
+# ------------------------------------------------------- n-gram LM
 
-def _token_partial_counts(batch: pa.Table) -> pa.Table:
-    """Per-batch combiner: token counts per word inside the batch."""
-    row, codes, vocab, lens = _split_encode(batch["text"])
-    if codes.size == 0:
-        return pa.table({"word": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64())})
-    counts = np.bincount(codes)
-    present = np.flatnonzero(counts)
-    return pa.table({"word": vocab.take(pa.array(present, pa.int64())),
-                     "n": pa.array(counts[present], pa.int64())})
+_SEP = "\x1f"  # ␟ is Python whitespace, so split words never contain
+#                it and ␟-joined n-gram keys are collision-free
 
 
-def _emit_tokens(batch: pa.Table) -> pa.Table:
-    """One row per token occurrence: (doc_id, word)."""
-    _row, codes, vocab, lens = _split_encode(batch["text"])
-    ids = batch["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
+def _gram_slots(batch: pa.Table, n: int):
+    """Every adjacent n-gram occurrence of ``batch`` that stays inside
+    one doc: (row id per occurrence — nondecreasing, one code column
+    per slot, vocab), from one ``_split_encode`` and a same-doc mask
+    ``row[n-1:] == row[:-(n-1)]``."""
+    row, codes, vocab, _lens = _split_encode(batch["text"])
+    m = max(codes.size - n + 1, 0)
+    same = row[n - 1:] == row[:m]
+    return row[:m][same], [codes[i:i + m][same] for i in range(n)], vocab
+
+
+def _join_keys(vocab: pa.Array, slots: list) -> pa.Array:
+    """␟-joined words of the code columns ``slots`` (at least one)."""
+    import pyarrow.compute as pc
+    words = [vocab.take(pa.array(s, pa.int64())) for s in slots]
+    return (words[0] if len(words) == 1
+            else pc.binary_join_element_wise(*words, _SEP))
+
+
+def ngram_counts_batch(batch: pa.Table, n: int) -> pa.Table:
+    """Per-batch combiner: (key, ctx, cnt) per distinct adjacent
+    n-gram of the batch (n-grams never cross doc boundaries), by one
+    lexsort run count over the slot codes (a unigram's dictionary code
+    is already its distinct id: a bincount). ``key`` is the ␟-joined n
+    words, ``ctx`` its (n-1)-word context key ("" for a unigram) and
+    ``cnt`` its count in the batch — the one counting kernel of the LM
+    scorer, ``heavy_hitters`` and the PMI operator."""
+    _row, slots, vocab = _gram_slots(batch, n)
+    if n == 1:  # the dictionary codes already number the distinct words
+        heads = [np.arange(len(vocab))]
+        cnt = np.bincount(slots[0], minlength=len(vocab))
+    else:
+        order = np.lexsort(slots[::-1])
+        slots = [s[order] for s in slots]
+        new = np.zeros(order.size, bool)
+        new[:1] = True
+        for s in slots:
+            new[1:] |= s[1:] != s[:-1]
+        starts = np.flatnonzero(new)
+        heads = [s[starts] for s in slots]
+        cnt = np.diff(np.append(starts, order.size))
     return pa.table({
-        "doc_id": pa.array(np.repeat(ids, lens), pa.int64()),
-        "word": vocab.take(pa.array(codes, pa.int64()))})
+        "key": _join_keys(vocab, heads),
+        "ctx": (_join_keys(vocab, heads[:-1]) if n > 1
+                else pa.repeat("", cnt.size)),
+        "cnt": pa.array(cnt, pa.int64())})
 
 
 def _pin6(x: np.ndarray) -> np.ndarray:
@@ -503,289 +554,135 @@ def _pin6(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 1e6 + 0.5) / 1e6
 
 
-def _sum_runs(key: str, col: str):
-    """``sorted_bucket_apply`` run function: one (key, summed ``col``)
-    row per run."""
-    def runs(b: pa.Table, starts, ends) -> pa.Table:
-        v = b[col].combine_chunks().to_numpy(zero_copy_only=False)
-        return pa.table({key: b[key].take(pa.array(starts, pa.int64())),
-                         col: pa.array(np.add.reduceat(v, starts),
-                                       pa.int64())})
-    return runs
+def _doc_means(doc_id: pa.Array, count_col: str, lp: np.ndarray,
+               starts: np.ndarray) -> pa.Table:
+    """One row per doc run of ``lp`` (the runs begin at ``starts`` and
+    tile it): its doc_id, run length as ``count_col`` and the 6-dp
+    pinned mean."""
+    lens = np.diff(np.append(starts, lp.size))
+    sums = np.add.reduceat(lp, starts)
+    return pa.table({
+        "doc_id": doc_id,
+        count_col: pa.array(lens, pa.int64()),
+        "mean_logprob": pa.array(_pin6(sums / lens.astype(np.float64)),
+                                 pa.float64())})
 
 
-def _lp_col(b: pa.Table) -> np.ndarray:
-    return b["lp"].combine_chunks().to_numpy(zero_copy_only=False)
+def _col(b: pa.Table, name: str) -> np.ndarray:
+    return b[name].combine_chunks().to_numpy(zero_copy_only=False)
 
 
-def _doc_mean_runs(count_col: str, logp):
-    """``sorted_bucket_apply`` run function of the over-budget LM
-    scorers: per doc run, its length as ``count_col`` and the 6-dp
-    pinned mean of ``logp(block)``."""
-    def runs(b: pa.Table, starts, ends) -> pa.Table:
-        lens = ends - starts
-        sums = np.add.reduceat(logp(b), starts)
-        return pa.table({
-            "doc_id": b["doc_id"].take(pa.array(starts, pa.int64())),
-            count_col: pa.array(lens, pa.int64()),
-            "mean_logprob": pa.array(
-                _pin6(sums / lens.astype(np.float64)), pa.float64())})
-    return runs
+def ngram_logprob(ds, n: int):
+    """Per-document mean order-``n`` LM log-probability (KenLM-style
+    corpus quality signal, n in 1..3): score(d) = mean over d's
+    adjacent n-grams g of ln(c(g) / c(ctx(g))), ctx(g) being g's first
+    n-1 words; for n = 1 the context count is the corpus token total,
+    else c(ctx) = Σ c over the n-grams sharing that context, so each
+    conditional distribution sums to 1. Output: (doc_id, n_tokens |
+    n_bigrams | n_trigrams, mean_logprob 6-dp-pinned), one row per doc
+    with >= 1 n-gram.
 
-
-def unigram_logprob(ds, broadcast_budget: int = 256 << 20):
-    """Per-document mean unigram log-probability (KenLM-style corpus
-    quality signal, unigram order): score(d) = mean over d's tokens of
-    ln(count(w) / total_tokens). Output: (doc_id, n_tokens,
-    mean_logprob), one row per doc with >= 1 token; mean_logprob
-    pinned to 6 decimals.
-
-    Corpus frequencies come from a per-batch combiner + one sorted
-    run-sum (rows shuffled: one per (batch, word), not per token).
-    Scoring takes the broadcast fast path while the frequency table
-    fits ``broadcast_budget`` (ray.put once, zero-copy to every
-    scorer); over budget it switches to the memory-safe
-    merge-join-as-sort path: (doc_id, word) token rows joined against
-    the hash-partitioned frequency table, then per-doc run sums —
-    the same budget-switch pattern as the dedup verify path."""
-    import ray
-    from zhtml_ray.stages.sortagg import (sorted_bucket_apply,
-                                          sorted_lookup_join)
-
-    partial = ds.map_batches(_token_partial_counts,
-                             batch_format="pyarrow")
-    fempty = pa.table({"word": pa.array([], pa.string()),
-                       "n": pa.array([], pa.int64())})
-
-    from zhtml_ray.stages.util import compact_blocks
-    freq = compact_blocks(
-        sorted_bucket_apply(partial, "word", ["word"],
-                            _sum_runs("word", "n"), fempty))
-    total = float(freq.sum("n") or 0)
-    out_empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "n_tokens": pa.array([], pa.int64()),
-                          "mean_logprob": pa.array([], pa.float64())})
-    if total == 0:
-        import ray.data as rd
-        return rd.from_arrow(out_empty)
-
-    if freq.size_bytes() <= broadcast_budget:
-        ftab = pa.concat_tables(
-            [pa.table(b) for b in freq.iter_batches(
-                batch_format="pyarrow", batch_size=None)])
-        lut = dict(zip(ftab["word"].to_pylist(),
-                       ftab["n"].to_numpy(zero_copy_only=False)
-                       .astype(np.float64)))
-        ref = ray.put(lut)
-
-        def score(batch: pa.Table) -> pa.Table:
-            row, codes, vocab, lens = _split_encode(batch["text"])
-            keep = lens > 0
-            if codes.size == 0:
-                return out_empty
-            d = ray.get(ref)
-            per_code = np.array([d[w] for w in vocab.to_pylist()],
-                                np.float64)
-            logp = np.log(per_code / total)[codes]
-            # rows are emitted in order, so row ids are nondecreasing:
-            # per-doc sums are contiguous-run reduceat
-            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-            sums = np.add.reduceat(logp, starts)
-            ids = batch["doc_id"].combine_chunks().to_numpy(
-                zero_copy_only=False)
-            nz = lens[keep].astype(np.float64)
-            return pa.table({
-                "doc_id": pa.array(ids[keep], pa.int64()),
-                "n_tokens": pa.array(lens[keep], pa.int64()),
-                "mean_logprob": pa.array(_pin6(sums / nz),
-                                         pa.float64())})
-
-        return ds.map_batches(score, batch_format="pyarrow")
-
-    # over budget: join frequencies onto token rows, then per-doc sums
-    from zhtml_ray.stages.util import compact_blocks
-    rows = ds.map_batches(_emit_tokens, batch_format="pyarrow")
-    joined = compact_blocks(
-        sorted_lookup_join(rows, freq, "word", ["n"]))
-
-    def logp(b: pa.Table) -> np.ndarray:
-        nv = b["n"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        return np.log(nv / total)
-
-    return sorted_bucket_apply(joined, "doc_id", ["doc_id"],
-                               _doc_mean_runs("n_tokens", logp),
-                               out_empty)
-
-
-def pair_counts_batch(batch: pa.Table) -> pa.Table:
-    """Per-batch combiner: adjacent-bigram counts inside the batch
-    (bigrams never cross doc boundaries). Emits (w1, w2, cnt) — the
-    ONE adjacency/lexsort/run-count kernel shared by the PMI operator
-    and the bigram LM."""
-    row, codes, vocab, _lens = _split_encode(batch["text"])
-    empty = pa.table({"w1": pa.array([], pa.string()),
-                      "w2": pa.array([], pa.string()),
-                      "cnt": pa.array([], pa.int64())})
-    if codes.size < 2:
-        return empty
-    adj = row[1:] == row[:-1]
-    a = codes[:-1][adj]
-    c = codes[1:][adj]
-    if a.size == 0:
-        return empty
-    order = np.lexsort((c, a))
-    a, c = a[order], c[order]
-    new = np.empty(a.size, bool)
-    new[0] = True
-    new[1:] = (a[1:] != a[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new)
-    cnts = np.diff(np.append(starts, a.size))
-    return pa.table({"w1": vocab.take(pa.array(a[starts], pa.int64())),
-                     "w2": vocab.take(pa.array(c[starts], pa.int64())),
-                     "cnt": pa.array(cnts, pa.int64())})
-
-
-def _bigram_partial_counts(batch: pa.Table) -> pa.Table:
-    """``pair_counts_batch`` + the composite join key (key = w1␟w2 —
-    ␟ U+001F is Python whitespace, so split words can never contain it
-    and the key is collision-free)."""
-    import pyarrow.compute as pc
-    t = pair_counts_batch(batch)
-    key = pc.binary_join_element_wise(t["w1"], t["w2"], "\x1f")
-    return pa.table({"key": key, "w1": t["w1"], "cnt": t["cnt"]})
-
-
-def bigram_logprob(ds, broadcast_budget: int = 256 << 20):
-    """Per-document mean bigram conditional log-probability — the
-    next-order KenLM-style quality signal after ``unigram_logprob``:
-    score(d) = mean over d's adjacent pairs of ln(c(w1,w2) / c1(w1)),
-    with c1(w1) = Σ_w2 c(w1,w2) (head counts, so each conditional
-    distribution sums to 1). Output: (doc_id, n_bigrams,
-    mean_logprob 6-dp-pinned), one row per doc with ≥ 1 bigram.
-
-    Same budget-switch plan as the unigram scorer: bigram frequencies
-    from a per-batch combiner + one vocabulary-bounded run-sum, head
-    counts from a second run-sum OVER THE FREQUENCY TABLE (never the
-    corpus), conditional log-probs attached by one merge join; scoring
-    broadcasts the (key → lp) table under ``broadcast_budget`` and
-    otherwise joins it onto per-occurrence (doc, key) rows with the
-    memory-safe merge-join-as-sort path + per-doc run sums."""
+    n-gram counts come from ``ngram_counts_batch`` + one sorted
+    run-sum (rows shuffled: one per (batch, n-gram), not per
+    occurrence); context counts from a run-sum over that FREQUENCY
+    table, never the corpus, attached by ``key_join``. Scoring picks
+    its tier by the (key, lp) table's block-metadata size against
+    ``sortagg.BROADCAST_BYTES``: at most that, the table is ``ray.put``
+    once and one fused map looks each batch's distinct n-grams up with
+    ``pc.index_in`` and sums per doc with ``np.add.reduceat`` (not a
+    join: regrouping joined rows by doc would need a second sort);
+    over it, per-occurrence (doc_id, key) rows go through
+    ``sorted_lookup_join`` and per-doc run sums."""
     import pyarrow.compute as pc
     import ray
-    from zhtml_ray.stages.sortagg import (sorted_bucket_apply,
-                                          sorted_lookup_join,
-                                          sorted_sum_per_group)
+    import ray.data as rd
+
+    from zhtml_ray.stages import sortagg
     from zhtml_ray.stages.util import compact_blocks, drop_empty_blocks
 
-    # materialized ONCE: .count() on an unmaterialized map re-executes
-    # the whole corpus pass when the sort consumes it again (verified
-    # on this Ray build); the partials are vocabulary×blocks bounded
-    partial = drop_empty_blocks(
-        ds.map_batches(_bigram_partial_counts,
-                       batch_format="pyarrow")).materialize()
+    if n not in (1, 2, 3):
+        raise ValueError(f"ngram_logprob: n must be 1, 2 or 3, not {n}")
+    count_col = ("n_tokens", "n_bigrams", "n_trigrams")[n - 1]
     out_empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "n_bigrams": pa.array([], pa.int64()),
+                          count_col: pa.array([], pa.int64()),
                           "mean_logprob": pa.array([], pa.float64())})
-    import ray.data as rd
+    # materialized ONCE: .count() on an unmaterialized map re-executes
+    # the whole corpus pass when the sort consumes it again; the
+    # partials are vocabulary×blocks bounded
+    partial = drop_empty_blocks(ds.map_batches(
+        ngram_counts_batch, fn_kwargs={"n": n},
+        batch_format="pyarrow")).materialize()
     if partial.count() == 0:
         return rd.from_arrow(out_empty)
-    freq = compact_blocks(sorted_sum_per_group(
-        partial, ["key", "w1"], ["cnt"]))
-    heads = compact_blocks(sorted_sum_per_group(
-        freq.select_columns(["w1", "cnt"]), ["w1"], ["cnt"])
-        .map_batches(lambda b: b.rename_columns(["w1", "c1"]),
-                     batch_format="pyarrow"))
-    withc1 = sorted_lookup_join(freq, heads, "w1", ["c1"])
+    freq = compact_blocks(sortagg.sorted_sum_per_group(
+        partial, ["key", "ctx"], ["cnt"]))
+    if n == 1:
+        # a unigram's one context, "", counts every token
+        ctx = rd.from_arrow(pa.table({"ctx": [""], "c_ctx": pa.array(
+            [freq.sum("cnt")], pa.int64())}))
+    else:
+        ctx = sortagg.sorted_sum_per_group(
+            freq.select_columns(["ctx", "cnt"]), ["ctx"], ["cnt"]) \
+            .map_batches(lambda b: b.rename_columns(["ctx", "c_ctx"]),
+                         batch_format="pyarrow")
 
     def to_lp(b: pa.Table) -> pa.Table:
-        c2 = b["cnt"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        c1 = b["c1"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        return pa.table({"key": b["key"],
-                         "lp": pa.array(np.log(c2 / c1), pa.float64())})
+        c = _col(b, "cnt").astype(np.float64)
+        return pa.table({"key": b["key"], "lp": pa.array(
+            np.log(c / _col(b, "c_ctx").astype(np.float64)))})
 
-    lp = compact_blocks(withc1.map_batches(to_lp,
-                                           batch_format="pyarrow"))
+    lp = compact_blocks(sortagg.key_join(freq, ctx, "ctx", ["c_ctx"])
+                        .map_batches(to_lp, batch_format="pyarrow"))
 
-    def _doc_pairs(batch: pa.Table):
-        """(pair row ids, composite keys) for one batch."""
-        row, codes, vocab, _lens = _split_encode(batch["text"])
-        if codes.size < 2:
-            return None
-        adj = row[1:] == row[:-1]
-        if not adj.any():
-            return None
-        prow = row[:-1][adj]
-        w1 = vocab.take(pa.array(codes[:-1][adj], pa.int64()))
-        w2 = vocab.take(pa.array(codes[1:][adj], pa.int64()))
-        keys = pc.binary_join_element_wise(w1, w2, "\x1f")
-        return prow, keys
-
-    if lp.size_bytes() <= broadcast_budget:
+    if lp.size_bytes() <= sortagg.BROADCAST_BYTES:
         ltab = pa.concat_tables(
-            [pa.table(b) for b in lp.iter_batches(
-                batch_format="pyarrow", batch_size=None)])
+            [t for t in ray.get(lp.to_arrow_refs()) if t.num_rows])
         # broadcast the ARROW key array (size ∝ bytes) — a numpy
         # unicode array is fixed-width, so one long token would
-        # inflate every key slot to 4×max_len bytes (review find)
-        ref = ray.put((ltab["key"].combine_chunks(),
-                       ltab["lp"].to_numpy(zero_copy_only=False)))
+        # inflate every key slot to 4×max_len bytes
+        ref = ray.put((ltab["key"].combine_chunks(), _col(ltab, "lp")))
 
         def score(batch: pa.Table) -> pa.Table:
-            pk = _doc_pairs(batch)
-            if pk is None:
+            row, slots, vocab = _gram_slots(batch, n)
+            if row.size == 0:
                 return out_empty
-            prow, keys = pk
             skeys, slp = ray.get(ref)
-            idx = pc.index_in(keys, value_set=skeys)
-            # every pair came from this same corpus: a miss means the
+            idx = pc.index_in(_join_keys(vocab, slots), value_set=skeys)
+            # every n-gram came from this same corpus: a miss means the
             # frequency pass and the scorer disagree — fail loudly
-            assert idx.null_count == 0, "bigram key missing from LM"
+            assert idx.null_count == 0, "n-gram key missing from LM"
             vals = slp[idx.to_numpy(zero_copy_only=False)]
-            starts = np.flatnonzero(np.r_[True, prow[1:] != prow[:-1]])
-            sums = np.add.reduceat(vals, starts)
-            lens = np.diff(np.append(starts, len(prow)))
-            ids = batch["doc_id"].combine_chunks().to_numpy(
-                zero_copy_only=False)
-            return pa.table({
-                "doc_id": pa.array(ids[prow[starts]], pa.int64()),
-                "n_bigrams": pa.array(lens, pa.int64()),
-                "mean_logprob": pa.array(
-                    _pin6(sums / lens.astype(np.float64)),
-                    pa.float64())})
+            # rows are nondecreasing: per-doc sums are run reduceats
+            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            ids = _col(batch, "doc_id")[row[starts]]
+            return _doc_means(pa.array(ids, pa.int64()), count_col,
+                              vals, starts)
 
         return ds.map_batches(score, batch_format="pyarrow")
 
-    # over budget: per-occurrence (doc_id, key) rows → merge join → sums
-    def emit_pairs(batch: pa.Table) -> pa.Table:
-        pk = _doc_pairs(batch)
-        if pk is None:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "key": pa.array([], pa.string())})
-        prow, keys = pk
-        ids = batch["doc_id"].combine_chunks().to_numpy(
-            zero_copy_only=False)
-        return pa.table({"doc_id": pa.array(ids[prow], pa.int64()),
-                         "key": keys})
+    def emit(batch: pa.Table) -> pa.Table:
+        row, slots, vocab = _gram_slots(batch, n)
+        return pa.table({
+            "doc_id": pa.array(_col(batch, "doc_id")[row], pa.int64()),
+            "key": _join_keys(vocab, slots)})
 
-    rows = ds.map_batches(emit_pairs, batch_format="pyarrow")
-    joined = compact_blocks(sorted_lookup_join(rows, lp, "key", ["lp"]))
+    def doc_mean_runs(b: pa.Table, starts, ends) -> pa.Table:
+        return _doc_means(b["doc_id"].take(pa.array(starts, pa.int64())),
+                          count_col, _col(b, "lp"), starts)
 
-    return sorted_bucket_apply(joined, "doc_id", ["doc_id"],
-                               _doc_mean_runs("n_bigrams", _lp_col),
-                               out_empty)
+    joined = compact_blocks(sortagg.sorted_lookup_join(
+        ds.map_batches(emit, batch_format="pyarrow"), lp, "key", ["lp"]))
+    return sortagg.sorted_bucket_apply(joined, "doc_id", ["doc_id"],
+                                       doc_mean_runs, out_empty)
 
 
 # ---------------------------------------------------- heavy_hitters
 
-_HH_SENTINEL = "\x1f"  # bigram keys are w1␟w2 with non-empty words —
-#                        a bare ␟ can never collide with a real key
+_HH_SENTINEL = _SEP  # bigram keys are w1␟w2 with non-empty words —
+#                     a bare ␟ can never collide with a real key
 
 
-def heavy_hitters(ds, capacity: int = 699,
-                  broadcast_budget: int = 64 << 20):
+def heavy_hitters(ds, capacity: int = 699):
     """Exact frequent-bigram mining with a two-pass candidate/verify
     plan (the distributed Misra-Gries guarantee): return EVERY
     adjacent-word bigram whose global count satisfies
@@ -794,7 +691,7 @@ def heavy_hitters(ds, capacity: int = 699,
     materializing the full bigram vocabulary.
 
     Pass 1 streams the corpus once: each batch computes exact local
-    pair counts (`pair_counts_batch`) and nominates the bigrams with
+    pair counts (`ngram_counts_batch(batch, 2)`) and nominates the bigrams with
     ``count_b*(capacity+1) > n_b``.  Pigeonhole recall proof: a bigram
     at most n_b/(capacity+1) in EVERY batch sums to at most
     N/(capacity+1) globally, so anything above the global threshold is
@@ -805,10 +702,11 @@ def heavy_hitters(ds, capacity: int = 699,
     frequency shuffle at web scale).
 
     Pass 2 streams the corpus again counting ONLY nominees: while the
-    distinct nominee table fits ``broadcast_budget`` it is broadcast
-    once via ``ray.put`` (Arrow key array, zero-copy to every worker)
-    and each batch emits its nominee hits plus one sentinel row
-    carrying n_b; over budget it falls back to the memory-safe
+    distinct nominee table's block-metadata size fits
+    ``sortagg.BROADCAST_BYTES`` it is broadcast once via ``ray.put``
+    (Arrow key array, zero-copy to every worker) and each batch emits
+    its nominee hits plus one sentinel row carrying n_b; over it the
+    count falls back to the memory-safe
     merge-join path (full per-batch partials semi-joined against the
     nominee table — more shuffle, bounded memory).  One
     nominee-bounded run-sum + the integer predicate on the
@@ -820,6 +718,7 @@ def heavy_hitters(ds, capacity: int = 699,
     """
     import pyarrow.compute as pc
     import ray
+    from zhtml_ray.stages import sortagg
     from zhtml_ray.stages.sortagg import (sorted_lookup_join,
                                           sorted_sum_per_group)
     from zhtml_ray.stages.util import compact_blocks, drop_empty_blocks
@@ -835,12 +734,7 @@ def heavy_hitters(ds, capacity: int = 699,
                        "cnt": pa.array([], pa.int64())})
 
     def _keyed_counts(batch: pa.Table) -> pa.Table:
-        t = pair_counts_batch(batch)
-        if t.num_rows == 0:
-            return pempty
-        key = pc.binary_join_element_wise(t["w1"], t["w2"],
-                                          _HH_SENTINEL)
-        return pa.table({"key": key, "cnt": t["cnt"]})
+        return ngram_counts_batch(batch, 2).select(["key", "cnt"])
 
     def nominate(batch: pa.Table) -> pa.Table:
         t = _keyed_counts(batch)
@@ -863,7 +757,7 @@ def heavy_hitters(ds, capacity: int = 699,
     distinct = compact_blocks(
         sorted_sum_per_group(ones, ["key"], ["one"])).materialize()
 
-    if distinct.size_bytes() <= broadcast_budget:
+    if distinct.size_bytes() <= sortagg.BROADCAST_BYTES:
         ktab = pa.concat_tables(
             [pa.table(b) for b in distinct.iter_batches(
                 batch_format="pyarrow", batch_size=None)])
@@ -917,149 +811,3 @@ def heavy_hitters(ds, capacity: int = 699,
                     "cnt": tbl["cnt"]})
     return out.sort_by([("cnt", "descending"), ("w1", "ascending"),
                         ("w2", "ascending")])
-
-
-# --------------------------------------------------- trigram_logprob
-
-def triple_counts_batch(batch: pa.Table) -> pa.Table:
-    """Per-batch combiner: distinct adjacent word TRIPLES with counts
-    (the order-3 analogue of `pair_counts_batch`), via one lexsort
-    run decomposition over dictionary codes."""
-    row, codes, vocab, _lens = _split_encode(batch["text"])
-    empty = pa.table({"w1": pa.array([], pa.string()),
-                      "w2": pa.array([], pa.string()),
-                      "w3": pa.array([], pa.string()),
-                      "cnt": pa.array([], pa.int64())})
-    if codes.size < 3:
-        return empty
-    adj = (row[2:] == row[:-2])  # same doc across all three slots
-    a, b, c = codes[:-2][adj], codes[1:-1][adj], codes[2:][adj]
-    if a.size == 0:
-        return empty
-    order = np.lexsort((c, b, a))
-    a, b, c = a[order], b[order], c[order]
-    new = np.empty(a.size, bool)
-    new[0] = True
-    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new)
-    cnts = np.diff(np.append(starts, a.size))
-    take = lambda arr: vocab.take(pa.array(arr[starts], pa.int64()))  # noqa: E731
-    return pa.table({"w1": take(a), "w2": take(b), "w3": take(c),
-                     "cnt": pa.array(cnts, pa.int64())})
-
-
-def _trigram_partial_counts(batch: pa.Table) -> pa.Table:
-    """`triple_counts_batch` + composite keys (␟-joined; ␟ is Python
-    whitespace ⇒ collision-free with split words)."""
-    import pyarrow.compute as pc
-    t = triple_counts_batch(batch)
-    key = pc.binary_join_element_wise(t["w1"], t["w2"], t["w3"], "\x1f")
-    pkey = pc.binary_join_element_wise(t["w1"], t["w2"], "\x1f")
-    return pa.table({"key": key, "pkey": pkey, "cnt": t["cnt"]})
-
-
-def trigram_logprob(ds, broadcast_budget: int = 256 << 20):
-    """Per-document mean trigram conditional log-probability — the
-    next LM order after :func:`bigram_logprob`: score(d) = mean over
-    d's adjacent triples of ln(c(w1,w2,w3) / c12(w1,w2)), with
-    c12 = Σ_w3 c(w1,w2,w3) (context counts from a run-sum over the
-    TRIGRAM FREQUENCY table, never the corpus — each conditional
-    distribution sums to 1). Output: (doc_id, n_trigrams,
-    mean_logprob 6-dp-pinned), one row per doc with ≥ 1 trigram.
-    Identical budget-switch plan to the bigram scorer."""
-    import pyarrow.compute as pc
-    import ray
-    from zhtml_ray.stages.sortagg import (sorted_bucket_apply,
-                                          sorted_lookup_join,
-                                          sorted_sum_per_group)
-    from zhtml_ray.stages.util import compact_blocks, drop_empty_blocks
-
-    partial = drop_empty_blocks(
-        ds.map_batches(_trigram_partial_counts,
-                       batch_format="pyarrow")).materialize()
-    out_empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "n_trigrams": pa.array([], pa.int64()),
-                          "mean_logprob": pa.array([], pa.float64())})
-    import ray.data as rd
-    if partial.count() == 0:
-        return rd.from_arrow(out_empty)
-    freq = compact_blocks(sorted_sum_per_group(
-        partial, ["key", "pkey"], ["cnt"]))
-    heads = compact_blocks(sorted_sum_per_group(
-        freq.select_columns(["pkey", "cnt"]), ["pkey"], ["cnt"])
-        .map_batches(lambda b: b.rename_columns(["pkey", "c12"]),
-                     batch_format="pyarrow"))
-    withc = sorted_lookup_join(freq, heads, "pkey", ["c12"])
-
-    def to_lp(b: pa.Table) -> pa.Table:
-        c3 = b["cnt"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        c12 = b["c12"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        return pa.table({"key": b["key"],
-                         "lp": pa.array(np.log(c3 / c12), pa.float64())})
-
-    lp = compact_blocks(withc.map_batches(to_lp,
-                                          batch_format="pyarrow"))
-
-    def _doc_triples(batch: pa.Table):
-        row, codes, vocab, _lens = _split_encode(batch["text"])
-        if codes.size < 3:
-            return None
-        adj = row[2:] == row[:-2]
-        if not adj.any():
-            return None
-        trow = row[:-2][adj]
-        w1 = vocab.take(pa.array(codes[:-2][adj], pa.int64()))
-        w2 = vocab.take(pa.array(codes[1:-1][adj], pa.int64()))
-        w3 = vocab.take(pa.array(codes[2:][adj], pa.int64()))
-        keys = pc.binary_join_element_wise(w1, w2, w3, "\x1f")
-        return trow, keys
-
-    if lp.size_bytes() <= broadcast_budget:
-        ltab = pa.concat_tables(
-            [pa.table(b) for b in lp.iter_batches(
-                batch_format="pyarrow", batch_size=None)])
-        ref = ray.put((ltab["key"].combine_chunks(),
-                       ltab["lp"].to_numpy(zero_copy_only=False)))
-
-        def score(batch: pa.Table) -> pa.Table:
-            tk = _doc_triples(batch)
-            if tk is None:
-                return out_empty
-            trow, keys = tk
-            skeys, slp = ray.get(ref)
-            idx = pc.index_in(keys, value_set=skeys)
-            assert idx.null_count == 0, "trigram key missing from LM"
-            vals = slp[idx.to_numpy(zero_copy_only=False)]
-            starts = np.flatnonzero(np.r_[True, trow[1:] != trow[:-1]])
-            sums = np.add.reduceat(vals, starts)
-            lens = np.diff(np.append(starts, len(trow)))
-            ids = batch["doc_id"].combine_chunks().to_numpy(
-                zero_copy_only=False)
-            return pa.table({
-                "doc_id": pa.array(ids[trow[starts]], pa.int64()),
-                "n_trigrams": pa.array(lens, pa.int64()),
-                "mean_logprob": pa.array(
-                    _pin6(sums / lens.astype(np.float64)),
-                    pa.float64())})
-
-        return ds.map_batches(score, batch_format="pyarrow")
-
-    def emit_triples(batch: pa.Table) -> pa.Table:
-        tk = _doc_triples(batch)
-        if tk is None:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "key": pa.array([], pa.string())})
-        trow, keys = tk
-        ids = batch["doc_id"].combine_chunks().to_numpy(
-            zero_copy_only=False)
-        return pa.table({"doc_id": pa.array(ids[trow], pa.int64()),
-                         "key": keys})
-
-    rows = ds.map_batches(emit_triples, batch_format="pyarrow")
-    joined = compact_blocks(sorted_lookup_join(rows, lp, "key", ["lp"]))
-
-    return sorted_bucket_apply(joined, "doc_id", ["doc_id"],
-                               _doc_mean_runs("n_trigrams", _lp_col),
-                               out_empty)

@@ -1139,17 +1139,17 @@ def q_corpus_prep(sf_dir: str):
     vectorized stage computes language ID + quality signals + token
     count + content hash, filters (quality_score ≥ 0.7 AND n_tokens ≥
     30), and drops text BEFORE any shuffle (shuffle bytes O(rows));
-    survivors then exact-dedup via an Arrow-native Min aggregate and a
-    winners join. This is the end-to-end corpus-cleaning shape a 100 TB
-    run composes from the individual operators — SQL-oracled as a
-    whole."""
+    survivors then exact-dedup in one sort: the min-doc_id row per
+    content hash (``sorted_first_per_group``; doc_id is unique). This
+    is the end-to-end corpus-cleaning shape a 100 TB run composes from
+    the individual operators — SQL-oracled as a whole."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Min
     from zhtml_ray.functions.dedup import add_content_hash
     from zhtml_ray.functions.textstats import (LangId, QualityScore,
                                                token_count_batch)
-    from zhtml_ray.stages.util import drop_empty_blocks, sized_partitions
+    from zhtml_ray.stages.sortagg import sorted_first_per_group
+    from zhtml_ray.stages.util import drop_empty_blocks
 
     ds = _docs(sf_dir, ["doc_id", "text", "lang"])
     li, qs = LangId(), QualityScore()
@@ -1170,13 +1170,7 @@ def q_corpus_prep(sf_dir: str):
                          "lang_pred": pa.array([], pa.string()),
                          "n_tokens": pa.array([], pa.int64()),
                          "quality_score": pa.array([], pa.float64())})
-    nparts = sized_partitions(n)
-    winners = drop_empty_blocks(
-        survivors.select_columns(["content_hash", "doc_id"])
-        .groupby("content_hash", num_partitions=nparts)
-        .aggregate(Min("doc_id", alias_name="doc_id")))
-    out = survivors.join(winners, "inner", num_partitions=nparts,
-                         on=("content_hash", "doc_id"))
+    out = sorted_first_per_group(survivors, ["content_hash"], ["doc_id"])
     return out.select_columns(["doc_id", "lang_pred", "n_tokens",
                                "quality_score"])
 
@@ -1214,9 +1208,10 @@ def q_paragraph_dedup(sf_dir: str):
     surviving paragraphs reassemble in order per doc.
 
     Scale shape: the explode is fully vectorized (split_pattern ->
-    re-chunked ListArray -> binary_join, no per-row Python); only
-    (sha1, rank) travels through the winner shuffle (sort-based
-    grouped-first, the house primitive); reassembly is ONE range sort
+    re-chunked ListArray -> binary_join, no per-row Python); the
+    winners are ONE sort of the paragraph rows (sort-based
+    grouped-first, the house primitive: the min-rank row per sha1,
+    rank being unique — no join back); reassembly is ONE range sort
     + per-doc run joins (sorted_bucket_apply). Nothing materializes on
     the driver. Engine groups by sha1(para) while the SQL oracle
     groups by the paragraph text itself — equivalent modulo SHA-1 collisions (same precedent
@@ -1228,7 +1223,7 @@ def q_paragraph_dedup(sf_dir: str):
     import pyarrow.compute as pc
     from zhtml_ray.stages.sortagg import (sorted_bucket_apply,
                                           sorted_first_per_group)
-    from zhtml_ray.stages.util import drop_empty_blocks, sized_partitions
+    from zhtml_ray.stages.util import drop_empty_blocks
 
     K = 20
     ds = _docs(sf_dir, ["doc_id", "text"])
@@ -1278,11 +1273,7 @@ def q_paragraph_dedup(sf_dir: str):
                            "n_paras_kept": pa.array([], pa.int64())})
     if total == 0:
         return out_schema
-    winners = sorted_first_per_group(
-        paras.select_columns(["phash", "rank"]), ["phash"], ["rank"])
-    kept = paras.join(winners, "inner",
-                      num_partitions=sized_partitions(total),
-                      on=("phash", "rank"))
+    kept = sorted_first_per_group(paras, ["phash"], ["rank"])
 
     def clean_texts(b: pa.Table, starts, ends) -> pa.Table:
         # paragraphs of one doc are contiguous after the sort, in pid
@@ -4322,12 +4313,12 @@ GROUP BY g.doc_id
 
 def q_unigram_logprob(sf_dir: str):
     """Per-doc mean unigram log-probability (KenLM-style corpus
-    quality signal): corpus frequencies via combiner + sorted run-sum,
-    scoring via budgeted broadcast with a merge-join-as-sort fallback
-    (functions/corpusstats.py:unigram_logprob)."""
-    from zhtml_ray.functions.corpusstats import unigram_logprob
+    quality signal): ``ngram_logprob(ds, 1)`` — corpus frequencies via
+    combiner + sorted run-sum, scoring via a size-picked broadcast or
+    merge-join-as-sort tier (functions/corpusstats.py:ngram_logprob)."""
+    from zhtml_ray.functions.corpusstats import ngram_logprob
     ds = _docs(sf_dir, ["doc_id", "text"])
-    return unigram_logprob(ds)
+    return ngram_logprob(ds, 1)
 
 
 def _sql_unigram_logprob() -> str:
@@ -4366,18 +4357,19 @@ def q_ppl_buckets(sf_dir: str):
     `length_quantiles` trick) and the threshold falls out of one
     driver cumsum. Bucket assignment is a pure map comparing integer
     micro-units, which orders identically to the double compare DuckDB
-    runs (k ↦ k/1e6 is monotone and injective below 2^53)."""
+    runs (k ↦ k/1e6 is monotone and injective below 2^53). The scores
+    are ``corpusstats.ngram_logprob(ds, 1)``."""
     import math
 
     import numpy as np
     import pyarrow as pa
 
-    from zhtml_ray.functions.corpusstats import unigram_logprob
+    from zhtml_ray.functions.corpusstats import ngram_logprob
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     # one row per doc with >= 1 token; materialized once — it feeds
     # both the threshold pass and the assignment pass
-    scores = unigram_logprob(ds).materialize()
+    scores = ngram_logprob(ds, 1).materialize()
     out_empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "mean_logprob": pa.array([], pa.float64()),
                           "ppl_bucket": pa.array([], pa.string())})
@@ -4447,12 +4439,12 @@ FROM sc CROSS JOIN th
 
 def q_bigram_logprob(sf_dir: str):
     """Per-doc mean bigram conditional log-probability (X104 — the
-    next LM order after `unigram_logprob`; `functions/corpusstats.py:
-    bigram_logprob` docstring has the plan). 6-dp house pin on the
-    mean, identical on both engines."""
-    from zhtml_ray.functions.corpusstats import bigram_logprob
+    next LM order after `q_unigram_logprob`): ``ngram_logprob(ds, 2)``,
+    whose docstring in `functions/corpusstats.py` has the plan. 6-dp
+    house pin on the mean, identical on both engines."""
+    from zhtml_ray.functions.corpusstats import ngram_logprob
     ds = _docs(sf_dir, ["doc_id", "text"])
-    return bigram_logprob(ds)
+    return ngram_logprob(ds, 2)
 
 
 def _sql_bigram_logprob() -> str:
@@ -4482,14 +4474,14 @@ FROM per
 
 def q_trigram_logprob(sf_dir: str):
     """X124: per-doc mean trigram conditional log-probability (the
-    order-3 KenLM-style signal completing the X83/X104 LM family;
-    `functions/corpusstats.py:trigram_logprob` has the plan — context
-    counts from a run-sum over the trigram FREQUENCY table, budgeted
-    broadcast scoring with the merge-join fallback). 6-dp house pin,
+    order-3 KenLM-style signal completing the X83/X104 LM family):
+    ``ngram_logprob(ds, 3)`` (`functions/corpusstats.py` has the plan —
+    context counts from a run-sum over the trigram FREQUENCY table,
+    size-picked broadcast or merge-join scoring). 6-dp house pin,
     identical on both engines."""
-    from zhtml_ray.functions.corpusstats import trigram_logprob
+    from zhtml_ray.functions.corpusstats import ngram_logprob
     ds = _docs(sf_dir, ["doc_id", "text"])
-    return trigram_logprob(ds)
+    return ngram_logprob(ds, 3)
 
 
 def _sql_trigram_logprob() -> str:
@@ -6481,8 +6473,10 @@ def q_pmi_collocations(sf_dir: str, min_count: int = 5):
     ``pair_cnt·N / (cnt1·cnt2)`` in 1e-4 units (monotone in true PMI
     since log is monotone — rankings match, and no cross-engine libm
     log skew can exist because no log is ever taken). Plan: per-batch
-    bigram/unigram count pre-combine over dictionary codes (bigrams
-    never cross doc boundaries; `_split_encode` row ids make the
+    bigram/unigram count pre-combine over dictionary codes
+    (`corpusstats.ngram_counts_batch`, ␟-joined bigram keys split back
+    into (w1, w2) after the min-count filter; bigrams never cross doc
+    boundaries; `_split_encode` row ids make the
     boundary mask one vector compare) → two sorted run-sum shuffles
     over the (bigram|word) VOCABULARY, never raw tokens → min-count
     filter → two merge-join-as-sort passes attaching unigram counts →
@@ -6497,43 +6491,37 @@ def q_pmi_collocations(sf_dir: str, min_count: int = 5):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from zhtml_ray.functions.corpusstats import _split_encode
+    from zhtml_ray.functions.corpusstats import _SEP, ngram_counts_batch
     from zhtml_ray.stages.sortagg import (sorted_lookup_join,
                                           sorted_sum_per_group)
-
-    ds = _docs(sf_dir, ["text"])
-    empty_uni = pa.table({"word": pa.array([], pa.string()),
-                          "cnt": pa.array([], pa.int64())})
-
-    def pair_partial(b: pa.Table) -> pa.Table:
-        # shared adjacency/lexsort/run-count kernel (corpusstats)
-        from zhtml_ray.functions.corpusstats import pair_counts_batch
-        return pair_counts_batch(b).rename_columns(
-            ["w1", "w2", "pair_cnt"])
-
     from zhtml_ray.stages.util import compact_blocks
 
+    ds = _docs(sf_dir, ["text"])
+
+    def partial(n: int, key: str):
+        # the shared n-gram count kernel (corpusstats), ␟-joined keys
+        def fn(b: pa.Table) -> pa.Table:
+            return ngram_counts_batch(b, n).select(["key", "cnt"]) \
+                .rename_columns([key, "cnt"])
+        return fn
+
     pairs = sorted_sum_per_group(
-        ds.map_batches(pair_partial, batch_format="pyarrow"),
-        ["w1", "w2"], ["pair_cnt"])
+        ds.map_batches(partial(2, "key"), batch_format="pyarrow"),
+        ["key"], ["cnt"])
 
     def keep_frequent(b: pa.Table) -> pa.Table:
-        return b.filter(pc.greater_equal(b["pair_cnt"], min_count))
+        b = b.filter(pc.greater_equal(b["cnt"], min_count))
+        w = pc.split_pattern(b["key"], _SEP)
+        return pa.table({"w1": pc.list_element(w, 0),
+                         "w2": pc.list_element(w, 1),
+                         "pair_cnt": b["cnt"]})
 
     # compact before the chained join sorts (CLAUDE.md sortagg rule)
     pairs = compact_blocks(
         pairs.map_batches(keep_frequent, batch_format="pyarrow"))
 
-    def uni_partial(b: pa.Table) -> pa.Table:
-        _row, codes, vocab, _lens = _split_encode(b["text"])
-        if codes.size == 0:
-            return empty_uni
-        cnt = np.bincount(codes, minlength=len(vocab))
-        return pa.table({"word": vocab,
-                         "cnt": pa.array(cnt, pa.int64())})
-
     uni = compact_blocks(sorted_sum_per_group(
-        ds.map_batches(uni_partial, batch_format="pyarrow"),
+        ds.map_batches(partial(1, "word"), batch_format="pyarrow"),
         ["word"], ["cnt"]))  # vocabulary-bounded; compacted for reuse
     n_tokens = int(uni.sum("cnt") or 0)
 

@@ -587,11 +587,13 @@ def q_cust_no_urgent_orders(sf_dir: str):
     ``key_join(how='anti')`` drops its customers: an inverted map-side
     ``pc.index_in`` while the set fits ``BROADCAST_BYTES``, else one
     range-shuffle merge join — nothing unbounded on the driver either
-    way."""
+    way. An empty result is a typed empty Arrow table, as in
+    ``q_big_discount_orders``."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
     from zhtml_ray.stages.sortagg import key_join, sorted_first_per_group
+    from zhtml_ray.stages.util import schema_safe_result
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey", "o_orderpriority"])
@@ -605,7 +607,8 @@ def q_cust_no_urgent_orders(sf_dir: str):
         ["c_custkey"])
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_acctbal"])
-    return key_join(cust, distinct, "c_custkey", how="anti")
+    return schema_safe_result(
+        key_join(cust, distinct, "c_custkey", how="anti"))
 
 
 SQL_CUST_NO_URGENT_ORDERS = """

@@ -357,9 +357,10 @@ def sorted_lookup_join(big, lookup, key_col, payload_cols, how="inner"):
 
 
 # A lookup side of at most this many bytes (block metadata) broadcasts
-# in ``key_join``; a larger one shuffles. 1M int64 keys are 8 MB; the
-# largest lookup of the sf0.1 queries, crawl_depth's first BFS
-# frontier, is 1.7 MB.
+# in ``key_join``; a larger one shuffles. ``corpusstats.ngram_logprob``
+# and ``heavy_hitters`` pick their fused broadcast maps by it too.
+# 1M int64 keys are 8 MB; the largest lookup of the sf0.1 queries,
+# crawl_depth's first BFS frontier, is 1.7 MB.
 BROADCAST_BYTES = 16 << 20
 
 
