@@ -102,8 +102,8 @@ def test_band_bucket_kernel_matches_reference_loop():
     per-doc loop bit for bit (at-rest indexes depend on these values):
     random, empty, null, fewer-than-k-word, whitespace-run and
     non-ASCII texts, several parameter sets, and every path the batch
-    takes to the job (append_band_buckets + explode_band_buckets) and
-    to the index builders (MinHashBatch + LshBandExplode)."""
+    takes (append_band_buckets + explode_band_buckets: the job, the
+    index builders and the minhash_dedup golden alike)."""
     import random
     rng = random.Random(11)
     vocab = ["alpha", "beta", "γάμμα", "日本語", "x", "the", "finé", "😀"]
@@ -121,19 +121,15 @@ def test_band_bucket_kernel_matches_reference_loop():
         want_sig, want_rows = _ref_band_rows(texts, keys, num_perm, bands,
                                              k, seed)
         mh = dedup.MinHashBatch(num_perm=num_perm, shingle_k=k, seed=seed)
-        sig_t = mh(t)
-        got_sig = np.array(sig_t["minhash"].to_pylist(), np.uint64)
-        assert np.array_equal(got_sig, want_sig)
+        assert np.array_equal(mh.signatures(texts), want_sig)
         for i in (0, 5, len(texts) - 3):
             assert np.array_equal(mh.signature(texts[i] or ""), want_sig[i])
-        ex = dedup.LshBandExplode(bands=bands, num_perm=num_perm)(sig_t)
-        assert list(zip(ex["bucket"].to_pylist(),
-                        ex["doc_id"].to_pylist())) == want_rows
         cfg = {"key": "doc_id", "col": "text", "num_perm": num_perm,
                "bands": bands, "shingle_k": k, "seed": seed}
-        fused = dedup.explode_band_buckets(
+        ex = dedup.explode_band_buckets(
             dedup.append_band_buckets(t, cfg), "doc_id")
-        assert fused.equals(ex)
+        assert list(zip(ex["bucket"].to_pylist(),
+                        ex["doc_id"].to_pylist())) == want_rows
         for chunk in (1, 7, 4096):  # docs straddling chunk edges
             assert np.array_equal(dedup._minhash_signatures(
                 [dedup._shingles(s or "", k) for s in texts],
@@ -1418,13 +1414,12 @@ def test_hex_hash_batch_buffer_slicing():
             hashlib.md5(b"\x00\xff").hexdigest()]
 
 
-def test_lsh_index_probe_prunes_and_recalls(ray_session, tmp_path):
-    """At-rest incremental LSH (r4): a tiny new shard must open only
-    its own buckets' partitions (the incremental economics) and still
-    surface every planted near-duplicate as a candidate pair with
-    roles preserved (key_a = new side). The index is built with
-    non-default parameters and probed with none: the probe takes the
-    pinned ones (with the defaults it would find nothing)."""
+def test_lsh_index_probe_recalls_with_roles(ray_session, tmp_path):
+    """At-rest incremental LSH (r4): a tiny new shard surfaces every
+    planted near-duplicate as a candidate pair with roles preserved
+    (key_a = new side). The index is built with non-default parameters
+    and probed with none: the probe takes the pinned ones (with the
+    defaults it would find nothing)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -1436,16 +1431,13 @@ def test_lsh_index_probe_prunes_and_recalls(ray_session, tmp_path):
                      "text": pa.array(base_texts)})
     idx = str(tmp_path / "lsh")
     build_lsh_index(rd.from_arrow(base).repartition(4), idx,
-                    n_parts=256, bands=16, seed=7)
+                    bands=16, seed=7)
 
     new = pa.table({
         "doc_id": pa.array([1000, 1001], pa.int64()),
         "text": pa.array([base_texts[17],       # exact twin of 17
                           "completely different content entirely"])})
-    stats: dict = {}
-    pairs = lsh_index_probe(idx, rd.from_arrow(new),
-                            scan_stats=stats).take_all()
-    assert stats["n_parts_read"] < stats["n_parts_total"], stats
+    pairs = lsh_index_probe(idx, rd.from_arrow(new)).take_all()
     got = {(r["key_a"], r["key_b"]) for r in pairs}
     assert (1000, 17) in got
     assert all(a >= 1000 for a, _ in got)  # roles preserved
@@ -1520,14 +1512,15 @@ def test_lsh_index_probe_budget_and_empty_shard(ray_session, tmp_path):
 
 
 def test_lsh_index_compaction(ray_session, tmp_path):
-    """build → append ×3 → compact: file count drops back to ~one per
-    touched partition, duplicate re-appended rows drop, sidecars
-    survive the atomic swap, and probe results are unchanged."""
+    """build → append ×3 → compact: the run count drops, duplicate
+    re-appended rows drop, sidecars survive the atomic swap, and probe
+    results are unchanged."""
     import glob
     import json
     import os
 
     import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from zhtml_ray.functions.dedup import (append_lsh_index,
@@ -1549,7 +1542,8 @@ def test_lsh_index_compaction(ray_session, tmp_path):
         "text": pa.array(["novel appended content here now ok"])})
     for _ in range(3):  # same shard re-appended (crash-replay shape)
         append_lsh_index(rd.from_arrow(shard), idx)
-    files_before = len(glob.glob(idx + "/bucket_part=*/*.parquet"))
+    files_before = len(glob.glob(idx + "/*.parquet"))
+    distinct = set(zip(*(pq.read_table(idx).to_pydict().values())))
 
     probe = pa.table({
         "doc_id": pa.array([200], pa.int64()),
@@ -1561,22 +1555,19 @@ def test_lsh_index_compaction(ray_session, tmp_path):
     stats = compact_lsh_index(idx)
     assert stats["files_before"] == files_before
     assert stats["files_after"] < files_before
+    assert stats["rows"] == len(distinct)
     assert json.load(open(os.path.join(idx, "_sidecar.json"))) == {"v": 1}
     after = {(r["key_a"], r["key_b"]) for r in
              lsh_index_probe(idx, rd.from_arrow(probe)).take_all()}
     assert after == before
 
 
-def test_lsh_index_compaction_keeps_pinned_modulus(ray_session,
-                                                   tmp_path):
-    """A sparse index — one doc, so fewer populated ``bucket_part=``
-    dirs than the pinned n_parts — compacts under the PINNED modulus:
-    probe results are identical before and after compaction (counting
-    dirs as the modulus moved rows where no probe looks)."""
-    import glob
-
+def test_lsh_index_compaction_sparse_probe_unchanged(ray_session,
+                                                    tmp_path):
+    """A sparse index — one doc — probes the same before and after
+    compaction: near-copies sharing only a few bands, each probed
+    alone, find exactly the pairs they found before."""
     import pyarrow as pa
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from zhtml_ray.functions.dedup import (build_lsh_index,
@@ -1588,11 +1579,7 @@ def test_lsh_index_compaction_keeps_pinned_modulus(ray_session,
     build_lsh_index(rd.from_arrow(pa.table({
         "doc_id": pa.array([1], pa.int64()),
         "text": pa.array([" ".join(words)])})), idx)
-    assert len(glob.glob(idx + "/bucket_part=*")) < 64
 
-    # near-copies sharing only a few bands, each probed ALONE so the
-    # probe opens only its own buckets' dirs (a many-doc shard opens
-    # every dir and would find misplaced rows anyway)
     def probe(r):
         text = " ".join(f"x{j}" if j < r else w
                         for j, w in enumerate(words[r:] + words[:r]))
@@ -1605,11 +1592,6 @@ def test_lsh_index_compaction_keeps_pinned_modulus(ray_session,
     assert sum(map(len, before.values())) >= 5
     compact_lsh_index(idx)
     assert {r: probe(r) for r in range(12, 19)} == before
-    for d in glob.glob(idx + "/bucket_part=*"):
-        part = int(d.rsplit("=", 1)[1])
-        for f in glob.glob(d + "/*.parquet"):
-            buckets = pq.read_table(f, columns=["bucket"])["bucket"]
-            assert all(b % 64 == part for b in buckets.to_pylist())
 
 
 def test_lsh_index_compaction_crash_between_renames(ray_session, tmp_path,
@@ -1700,10 +1682,10 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path,
                                            monkeypatch):
     """The job's drop set — ``_collide`` of the band rows against
     ``lsh_index_bucket_hits`` — equals the distinct ``key_a`` of
-    ``lsh_index_probe`` on a fragmented index (several append files per
-    bucket_part), including a new doc whose key is already indexed
+    ``lsh_index_probe`` on a fragmented index (one run per appended
+    partition), including a new doc whose key is already indexed
     (self-matches never drop), an empty index, and a shard whose
-    buckets hit no populated part — folding the scanned rows into the
+    buckets hit no indexed row — folding the scanned rows into the
     hits once at the end and after every batch alike."""
     import glob
     import os
@@ -1712,9 +1694,7 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path,
     import ray.data as rd
 
     from zhtml_ray.functions import dedup
-    from zhtml_ray.functions.dedup import (_collide, append_band_buckets,
-                                           collect_band_rows,
-                                           explode_band_buckets,
+    from zhtml_ray.functions.dedup import (_collide, collect_band_rows,
                                            lsh_index_bucket_hits,
                                            lsh_index_probe)
     from zhtml_ray.stages.neardup import (append_partition_to_index,
@@ -1746,14 +1726,13 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path,
     texts = [" ".join(f"page{i} word{j}" for j in range(10))
              for i in range(12)]
     idx = str(tmp_path / "frag")
-    cfg = pin_lsh_config(idx, {"key": "url", "col": "text", "n_parts": 8})
-    for pid in range(4):  # four partitions' appends: fragmented parts
+    cfg = pin_lsh_config(idx, {"key": "url", "col": "text"})
+    for pid in range(4):  # four partitions' appends: four runs
         urls = [f"http://old/{i}" for i in range(pid * 3, pid * 3 + 3)]
         t = docs(urls, texts[pid * 3:pid * 3 + 3])
         band = collect_band_rows(rd.from_arrow(t), cfg)
         append_partition_to_index(band, idx, pid, cfg)
-    assert max(len(glob.glob(d + "/*.parquet"))
-               for d in glob.glob(idx + "/bucket_part=*")) > 1
+    assert len(glob.glob(os.path.join(idx, "*.parquet"))) == 4
 
     new = docs(["http://old/4",      # already indexed, same text: keep
                 "http://old/5",      # indexed url, text of old/7: drop
@@ -1763,33 +1742,129 @@ def test_lsh_index_bucket_hits_match_probe(ray_session, tmp_path,
                 "an entirely unrelated page about nothing in particular"])
     semi, st = both(idx, new)
     assert semi == {"http://old/5", "http://new/a"}
-    assert st["n_files_read"] > st["n_parts_read"] > 0
-    assert st["bytes_read"] > 0
+    assert st["n_files_read"] == 4 and st["bytes_read"] > 0
 
     empty_idx = str(tmp_path / "empty")
     pin_lsh_config(empty_idx, {"key": "url", "col": "text"})
     semi, st = both(empty_idx, new)
-    assert semi == set() and st["n_parts_total"] == 0
+    assert semi == set()
+    assert st["n_files_read"] == st["bytes_read"] == 0
 
-    # one doc in 4096 parts: find a shard whose 32 buckets all miss
-    # the ≤32 populated parts
+    # one indexed doc, and a shard none of whose buckets it holds
     sparse = str(tmp_path / "sparse")
-    scfg = pin_lsh_config(sparse, {"key": "url", "col": "text",
-                                   "n_parts": 4096})
+    scfg = pin_lsh_config(sparse, {"key": "url", "col": "text"})
     one = docs(["http://old/0"], texts[:1])
     append_partition_to_index(collect_band_rows(rd.from_arrow(one), scfg),
                               sparse, 0, scfg)
-    populated = {int(d.rsplit("=", 1)[1])
-                 for d in glob.glob(os.path.join(sparse, "bucket_part=*"))}
-    for i in range(100):
-        miss = docs([f"http://new/{i}"], [f"fresh page {i} text here"])
-        band = explode_band_buckets(append_band_buckets(miss, scfg), "url")
-        parts = set((band["bucket"].to_numpy() % 4096).tolist())
-        if not parts & populated:
-            break
+    miss = docs(["http://new/0"], ["fresh page text here"])
     semi, st = both(sparse, miss)
-    assert semi == set() and st["n_parts_read"] == 0
-    assert st["n_files_read"] == st["bytes_read"] == 0
+    assert semi == set() and st["n_files_read"] == 1
+    assert len(lsh_index_bucket_hits(sparse, collect_band_rows(
+        rd.from_arrow(miss), scfg))) == 0
+
+
+def test_lsh_index_reads_and_compacts_bucket_part_layout(ray_session,
+                                                        tmp_path):
+    """An index written in the older Hive layout —
+    ``bucket_part=k/part-<tag><pid>.parquet``, pinned with an
+    ``n_parts`` key — plus one root-level run a later job appended
+    gives the same bucket hits and probe pairs as a flat copy of the
+    same rows; crash cleanup removes one pid's files
+    (and its torn ``.tmp``) in both layouts; and ``compact_lsh_index``
+    converts it to root-level runs, each sorted by bucket, holding the
+    same rows and probing the same."""
+    import glob
+    import json
+    import os
+    import shutil
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from zhtml_ray.functions.dedup import (collect_band_rows,
+                                           compact_lsh_index,
+                                           lsh_index_bucket_hits,
+                                           lsh_index_probe)
+    from zhtml_ray.stages.neardup import (append_partition_to_index,
+                                          clean_partition_files)
+
+    cfg = {"key": "url", "col": "text", "n_parts": 8, "num_perm": 128,
+           "bands": 32, "shingle_k": 3, "seed": 42}
+    texts = [" ".join(f"page{i} word{j}" for j in range(10))
+             for i in range(12)]
+    old, flat, tag = str(tmp_path / "old"), str(tmp_path / "flat"), "0a1b"
+    for d in (old, flat):
+        os.makedirs(d)
+        with open(os.path.join(d, "_lsh_config.json"), "w") as f:
+            json.dump(cfg, f)
+    for pid in range(4):
+        band = collect_band_rows(rd.from_arrow(pa.table({
+            "url": [f"http://old/{i}" for i in range(pid * 3, pid * 3 + 3)],
+            "text": texts[pid * 3:pid * 3 + 3]})), cfg)
+        append_partition_to_index(band, flat, pid, cfg, tag)
+        if pid == 3:
+            append_partition_to_index(band, old, pid, cfg, tag)
+            continue
+        part = np.mod(band["bucket"].to_numpy(), cfg["n_parts"])
+        for k in np.unique(part).tolist():
+            d = os.path.join(old, f"bucket_part={k}")
+            os.makedirs(d, exist_ok=True)
+            pq.write_table(band.filter(pa.array(part == k)),
+                           os.path.join(d, f"part-{tag}{pid:06d}.parquet"))
+    torn = glob.glob(os.path.join(old, "bucket_part=*"))[0]
+    open(os.path.join(torn, f"part-{tag}000002.parquet.tmp"), "w").close()
+
+    probe = pa.table({"url": ["http://new/a", "http://old/4",
+                              "http://new/b", "http://new/c"],
+                      "text": [texts[1], texts[7],
+                               "an unrelated page about nothing at all",
+                               texts[10]]})
+    band = collect_band_rows(rd.from_arrow(probe), cfg).sort_by("bucket")
+
+    def read(idx):
+        return (lsh_index_bucket_hits(idx, band),
+                {(r["key_a"], r["key_b"]) for r in
+                 lsh_index_probe(idx, rd.from_arrow(probe)).take_all()})
+
+    def rows(idx):
+        t = pq.read_table(glob.glob(os.path.join(idx, "**", "*.parquet"),
+                                    recursive=True),
+                          columns=["bucket", "url"])
+        return set(zip(t["bucket"].to_pylist(), t["url"].to_pylist()))
+
+    hits, pairs = read(old)
+    flat_hits, flat_pairs = read(flat)
+    assert hits.equals(flat_hits) and pairs == flat_pairs
+    assert {("http://new/a", "http://old/1"),
+            ("http://old/4", "http://old/7"),
+            ("http://new/c", "http://old/10")} <= pairs
+    assert not any(a == "http://new/b" for a, _ in pairs)
+
+    conv = str(tmp_path / "conv")
+    shutil.copytree(old, conv)
+    compact_lsh_index(conv)
+    runs = glob.glob(os.path.join(conv, "**", "*.parquet*"), recursive=True)
+    assert runs and all(os.path.dirname(f) == conv for f in runs)
+    for f in runs:
+        assert pq.read_table(f).column_names == ["bucket", "url"]
+        buckets = pq.read_table(f)["bucket"].to_pylist()
+        assert buckets == sorted(buckets)
+    assert rows(conv) == rows(old) == rows(flat)
+    conv_hits, conv_pairs = read(conv)
+    assert conv_hits.equals(hits) and conv_pairs == pairs
+
+    stale = glob.glob(os.path.join(old, "bucket_part=*",
+                                   f"part-{tag}000002.parquet*"))
+    assert len(stale) > 2  # several parts plus the torn .tmp
+    assert clean_partition_files(old, 2, tag) == len(stale)
+    assert clean_partition_files(flat, 2, tag) == 1
+    for d in (old, flat):
+        assert not glob.glob(os.path.join(
+            d, "**", f"part-{tag}000002.parquet*"), recursive=True)
+        assert glob.glob(os.path.join(d, "**", f"part-{tag}000001.parquet"),
+                         recursive=True)
 
 
 def test_lsh_index_config_pinned_by_builders(ray_session, tmp_path):
@@ -1812,20 +1887,19 @@ def test_lsh_index_config_pinned_by_builders(ray_session, tmp_path):
     idx = str(tmp_path / "lsh")
     build_lsh_index(rd.from_arrow(pa.table({
         "doc_id": pa.array([1], pa.int64()),
-        "text": pa.array([text])})), idx, n_parts=256, bands=16, seed=7)
+        "text": pa.array([text])})), idx, bands=16, seed=7)
     cfg = json.load(open(os.path.join(idx, "_lsh_config.json")))
-    assert cfg == {"key": "doc_id", "col": "text", "n_parts": 256,
-                   "num_perm": 128, "bands": 16, "shingle_k": 3,
-                   "seed": 7}
+    assert cfg == {"key": "doc_id", "col": "text", "num_perm": 128,
+                   "bands": 16, "shingle_k": 3, "seed": 7}
     append_lsh_index(rd.from_arrow(pa.table({
         "doc_id": pa.array([2], pa.int64()),
         "text": pa.array([text])})), idx)
     rows: dict = {1: set(), 2: set()}
-    for f in glob.glob(os.path.join(idx, "bucket_part=*", "*.parquet")):
-        part = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+    for f in glob.glob(os.path.join(idx, "*.parquet")):
         t = pq.read_table(f, columns=["bucket", "doc_id"])
-        for b, k in zip(t["bucket"].to_pylist(), t["doc_id"].to_pylist()):
-            assert b % 256 == part
+        buckets = t["bucket"].to_pylist()
+        assert buckets == sorted(buckets)  # each run sorted by bucket
+        for b, k in zip(buckets, t["doc_id"].to_pylist()):
             rows[k].add(b)
     assert len(rows[1]) == 16 and rows[2] == rows[1]
 

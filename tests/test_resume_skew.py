@@ -639,6 +639,21 @@ def test_neardup_index_job_lifecycle(ray_session, tmp_path):
     assert not keeps["http://p2/dup-s"]         # dup of APPENDED twin-a
     assert all(keeps[u] for u in keeps if "/u" in u)  # uniques keep
 
+    # each partition appended at most one run, at the index root, sorted
+    # by bucket
+    import pyarrow.parquet as pq
+    from zhtml_ray.stages.neardup import job_tag
+    tag = job_tag(out_dir)
+    runs = glob.glob(os.path.join(idx, "**", "*.parquet*"), recursive=True)
+    assert sorted(runs) == sorted(
+        os.path.join(idx, f"part-{tag}{pid:06d}.parquet")
+        for pid in range(3) if json.load(open(os.path.join(
+            out_dir, "_manifests", f"part-{pid:06d}.json")))
+        ["neardup"]["appended"])
+    for f in runs:
+        buckets = pq.read_table(f)["bucket"].to_pylist()
+        assert buckets == sorted(buckets)
+
     # manifest records the stage lineage
     m1 = json.load(open(os.path.join(out_dir, "_manifests",
                                      "part-000001.json")))
@@ -653,10 +668,7 @@ def test_neardup_index_job_lifecycle(ray_session, tmp_path):
     os.remove(os.path.join(out_dir, "_manifests", "part-000001.json"))
     import shutil
     shutil.rmtree(os.path.join(out_dir, "part-000001"))
-    from zhtml_ray.stages.neardup import job_tag
-    tag = job_tag(out_dir)
-    stale = glob.glob(os.path.join(idx, "bucket_part=*",
-                                   f"part-{tag}000001.parquet"))
+    stale = glob.glob(os.path.join(idx, f"part-{tag}000001.parquet"))
     assert stale  # the crashed partition DID append
     r3 = run_partitioned(shards, out_dir, group_size=2, overlap=1,
                          extract_kwargs={"include_spans": False,
@@ -821,10 +833,11 @@ def _keep_rows(odir) -> list:
 
 
 def _index_contents(idx, tag) -> dict:
-    """bucket_part-relative file name (job tag stripped) -> sorted rows."""
+    """Index-relative run name (job tag stripped) -> sorted rows."""
     import pyarrow.parquet as pq
     out = {}
-    for f in glob.glob(os.path.join(idx, "bucket_part=*", "*.parquet")):
+    for f in glob.glob(os.path.join(idx, "**", "*.parquet"),
+                       recursive=True):
         t = pq.read_table(f)
         name = os.path.relpath(f, idx).replace(tag, "")
         out[name] = sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
@@ -924,7 +937,7 @@ def test_neardup_epoch_chain_survives(ray_session, tmp_path):
                          "url": pa.array([u for _, u in pairs])})
 
     base = str(tmp_path / "base")
-    cfg = pin_lsh_config(base, {"n_parts": 4})
+    cfg = pin_lsh_config(base)
     append_partition_to_index(rows((1, "A")), base, 0, cfg, tag="old")
     parts = [(1, rows((1, "B"), (2, "B"))), (2, rows((2, "C"), (3, "C")))]
 
@@ -937,7 +950,7 @@ def test_neardup_epoch_chain_survives(ray_session, tmp_path):
     assert epoch == drops(str(tmp_path / "seq"), [[p] for p in parts])
     assert epoch == [["B"], []]
     empty = str(tmp_path / "empty")
-    pin_lsh_config(empty, {"n_parts": 4})
+    pin_lsh_config(empty)
     assert [sorted(d.to_pylist()) for d, _ in
             resolve_epoch(empty, cfg, parts)] == [[], ["C"]]
 
@@ -964,15 +977,15 @@ def test_neardup_epoch_matches_semijoin_reference(ray_session, tmp_path):
             "url": pa.array([f"u{i}" for i in rng.integers(0, urls, n)])})
 
     base = str(tmp_path / "base")
-    cfg = pin_lsh_config(base, {"n_parts": 8})
+    cfg = pin_lsh_config(base)
     append_partition_to_index(rows(12, 40), base, 0, cfg, tag="old")
     parts = [(pid, rows(int(rng.integers(0, 30)), 40))
              for pid in range(6)]
 
     def indexed_urls(idx) -> dict:
-        # every file of the index, whatever its bucket_part: bucket -> urls
+        # every run of the index: bucket -> urls
         out: dict = {}
-        for f in glob.glob(os.path.join(idx, "bucket_part=*", "*.parquet")):
+        for f in glob.glob(os.path.join(idx, "*.parquet")):
             t = pq.read_table(f, columns=["bucket", "url"])
             for b, u in zip(t["bucket"].to_pylist(), t["url"].to_pylist()):
                 out.setdefault(b, set()).add(u)
@@ -1073,8 +1086,7 @@ def test_neardup_crash_mid_epoch_resumes_narrower(ray_session, tmp_path,
                                      overlap=4, extract_kwargs=kw)
     assert not manifest.completed_partitions(out_dir)
     stale = {pid: len(glob.glob(os.path.join(
-        idx, "bucket_part=*", f"part-{tag}{pid:06d}.parquet")))
-        for pid in range(6)}
+        idx, f"part-{tag}{pid:06d}.parquet"))) for pid in range(6)}
     assert all(stale[p] for p in range(4)) and not stale[4] + stale[5]
 
     scanned = []
@@ -1082,7 +1094,7 @@ def test_neardup_crash_mid_epoch_resumes_narrower(ray_session, tmp_path,
 
     def spy(index_dir, *a, **k):
         scanned.append(sorted(os.path.basename(f) for f in glob.glob(
-            os.path.join(index_dir, "bucket_part=*", "*.parquet"))))
+            os.path.join(index_dir, "*.parquet"))))
         return hits(index_dir, *a, **k)
 
     with monkeypatch.context() as m:

@@ -175,13 +175,11 @@ def _band_hashes(sigs: np.ndarray, bands: int) -> np.ndarray:
 
 
 class MinHashBatch:
-    """Per-batch MinHash signatures (actor state: permutation params)."""
+    """Per-batch MinHash signatures (state: permutation params)."""
 
-    def __init__(self, col: str = "text", num_perm: int = 128,
-                 shingle_k: int = 3, seed: int = 42):
-        self.col = col
+    def __init__(self, num_perm: int = 128, shingle_k: int = 3,
+                 seed: int = 42):
         self.k = shingle_k
-        self.num_perm = num_perm
         self.a, self.b = _perm_params(num_perm, seed)
 
     def signatures(self, texts: list) -> np.ndarray:
@@ -192,12 +190,6 @@ class MinHashBatch:
     def signature(self, text: str) -> np.ndarray:
         return self.signatures([text])[0]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sigs = self.signatures(batch[self.col].to_pylist())
-        return batch.append_column(
-            "minhash", pa.FixedSizeListArray.from_arrays(
-                pa.array(sigs.ravel(), pa.uint64()), self.num_perm))
-
 
 def _band_rows(num_perm: int, bands: int) -> int:
     assert num_perm % bands == 0
@@ -206,7 +198,10 @@ def _band_rows(num_perm: int, bands: int) -> int:
 
 def _explode_buckets(keys, buckets: np.ndarray, key: str) -> pa.Table:
     """(docs × bands) bucket ids + the docs' keys → one ``(bucket,
-    key)`` row per doc and band, doc-major."""
+    key)`` row per doc and band, doc-major. ``bucket`` is a single
+    int64 (blake2b over band index ‖ band chunk), so one column carries
+    the whole (band, hash) identity; a cross-band hash collision merely
+    ADDS a candidate pair that exact verification filters out."""
     n, bands = buckets.shape
     return pa.table({
         "bucket": pa.array(buckets.ravel(), pa.int64()),
@@ -214,35 +209,13 @@ def _explode_buckets(keys, buckets: np.ndarray, key: str) -> pa.Table:
                                 pa.int64()))})
 
 
-class LshBandExplode:
-    """signature row → (bucket, key) rows for the LSH sort/groupby.
-
-    ``bucket`` is a single int64: blake2b over (band index ‖ band
-    chunk), so one column carries the whole (band, hash) identity — a
-    two-column key doubled the shuffle-key work, and a cross-band hash
-    collision merely ADDS a candidate pair that exact verification
-    filters out."""
-
-    def __init__(self, key: str = "doc_id", bands: int = 32,
-                 num_perm: int = 128):
-        self.key = key
-        self.bands = bands
-        self.num_perm = num_perm
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sigs = pc.list_flatten(batch["minhash"]).to_numpy(
-            zero_copy_only=False).reshape(-1, self.num_perm)
-        return _explode_buckets(batch[self.key],
-                                _band_hashes(sigs, self.bands), self.key)
-
-
 _STAGE_CACHE: dict = {}
 
 
-def _cached_minhash(col, num_perm, shingle_k, seed):
-    k = ("mh", col, num_perm, shingle_k, seed)
+def _cached_minhash(num_perm, shingle_k, seed):
+    k = ("mh", num_perm, shingle_k, seed)
     if k not in _STAGE_CACHE:
-        _STAGE_CACHE[k] = MinHashBatch(col=col, num_perm=num_perm,
+        _STAGE_CACHE[k] = MinHashBatch(num_perm=num_perm,
                                        shingle_k=shingle_k, seed=seed)
     return _STAGE_CACHE[k]
 
@@ -257,8 +230,7 @@ def append_band_buckets(batch: pa.Table, cfg: dict) -> pa.Table:
     the ``LSH_BUCKETS_COL`` column. The one band-bucket kernel of the
     at-rest index: the job computes it inside its extraction map, the
     index builders and probes through ``_band_rows_ds``."""
-    mh = _cached_minhash(cfg["col"], cfg["num_perm"], cfg["shingle_k"],
-                         cfg["seed"])
+    mh = _cached_minhash(cfg["num_perm"], cfg["shingle_k"], cfg["seed"])
     buckets = _band_hashes(mh.signatures(batch[cfg["col"]].to_pylist()),
                            cfg["bands"])
     return batch.append_column(
@@ -1072,9 +1044,10 @@ def embedding_neardup(ds, key: str = "vec_id", col: str = "embedding",
 def lsh_index_config(out_dir: str, defaults: dict | None = None,
                      overrides: dict | None = None) -> dict:
     """The index's own MinHash/LSH parameters (``key``, ``col``,
-    ``n_parts``, ``num_perm``, ``bands``, ``shingle_k``, ``seed``),
-    pinned in ``<index>/_lsh_config.json`` — the one reader and writer
-    of that file. An index probed with other parameters finds nothing
+    ``num_perm``, ``bands``, ``shingle_k``, ``seed``), pinned in
+    ``<index>/_lsh_config.json`` — the one reader and writer of that
+    file (a key no reader uses, as in an older pin, is kept and
+    ignored). An index probed with other parameters finds nothing
     and silently passes every duplicate, so every reader and appender
     takes its parameters from here, never from its caller.
 
@@ -1114,15 +1087,6 @@ def lsh_index_config(out_dir: str, defaults: dict | None = None,
         json.dump(cfg, f)
     os.replace(path + ".tmp", path)
     return cfg
-
-
-def with_bucket_part(t: pa.Table, key: str, n_parts: int) -> pa.Table:
-    """``t``'s ``(bucket, key)`` rows plus the index's placement rule,
-    ``bucket_part = bucket mod n_parts``: the ``bucket_part=`` dir a
-    row is written to and a probe looks in."""
-    part = np.mod(t["bucket"].to_numpy(zero_copy_only=False), n_parts)
-    return t.select(["bucket", key]).append_column(
-        "bucket_part", pa.array(part, pa.int64()))
 
 
 def recover_interrupted_compaction(out_dir: str) -> None:
@@ -1167,22 +1131,21 @@ def recover_interrupted_compaction(out_dir: str) -> None:
 
 def compact_lsh_index(out_dir: str) -> dict:
     """LSM-style compaction of a ``build_lsh_index`` directory: after
-    N ``append_lsh_index`` shards the index carries ~N files per
-    bucket_part (appends are append-only by design); this rewrites the
-    whole index sorted into a fresh sibling dir and atomically swaps
-    it in, restoring ~one file per partition. Duplicate (bucket, key)
-    rows from re-appended shards are dropped (they were already
-    harmless to probes — pairs dedup — but cost scan time). Returns
+    N appends the index carries at least N runs (appends are
+    append-only by design); this rewrites the distinct ``(bucket,
+    key)`` rows of every run into a fresh sibling dir as a few runs,
+    each sorted by bucket, and atomically swaps it in. Duplicate rows
+    from re-appended shards are dropped (they were already harmless to
+    probes — pairs dedup — but cost scan time). Returns
     {"files_before", "files_after", "rows"}. Run it on the cadence
     appends accumulate — the same story as any LSM store. Run it
     BETWEEN jobs only: the job CLI's ``--neardup-index`` stage relies
-    on its deterministic ``part-<pid>.parquet`` file names for crash
-    recovery (stages/neardup.py:clean_partition_files), and a
-    mid-job compaction folds those into anonymous compacted files.
+    on its deterministic ``part-<tag><pid>.parquet`` run names for
+    crash recovery (stages/neardup.py:clean_partition_files), and a
+    mid-job compaction folds those into anonymous compacted runs.
     A crash mid-swap is recovered (or refused) by
     ``recover_interrupted_compaction`` on the next call to
     ``lsh_index_config``, which every index reader and writer makes."""
-    import glob
     import os
     import shutil
 
@@ -1192,61 +1155,48 @@ def compact_lsh_index(out_dir: str) -> dict:
     from zhtml_ray.stages.util import compact_blocks
 
     cfg = lsh_index_config(out_dir)
-    files = sorted(glob.glob(os.path.join(out_dir,
-                                          "bucket_part=*", "*.parquet")))
+    cols = ["bucket", cfg["key"]]
+    files = _index_files(out_dir)
     if not files:
         return {"files_before": 0, "files_after": 0, "rows": 0}
-    # bucket_part is a Hive PATH column (this Ray version re-infers it
-    # even from explicit file paths): recompute it from bucket so the
-    # rewrite never depends on path parsing — under the PINNED modulus,
-    # since a sparse index populates fewer dirs than n_parts and
-    # counting dirs would move rows where no probe looks
-    parted = rd.read_parquet(files).map_batches(
-        with_bucket_part, fn_kwargs={"key": cfg["key"],
-                                     "n_parts": cfg["n_parts"]},
-        batch_format="pyarrow")
-    # one range sort: distinct (part, bucket, key) rows, emitted in
-    # part order so the partitioned write stays fan-out-free — then
-    # COMPACT: sortagg emits ~2 small blocks per input block and the
-    # writer makes a file per (block × part crossed), which GREW the
-    # file count on a fragmented index (measured 128 → 191 before
-    # this; 128 → ~n_parts after)
-    dedup = compact_blocks(sorted_first_per_group(
-        parted, ["bucket_part", "bucket", cfg["key"]]))
-    rows = dedup.count()
+    # COMPACT the sortagg output (~2 small blocks per input block, one
+    # file each), then sort each block: a compacted block can join an
+    # interior run to a boundary one
+    runs = compact_blocks(sorted_first_per_group(
+        rd.read_parquet(files, columns=cols), cols)) \
+        .map_batches(lambda t: t.sort_by([(c, "ascending") for c in cols]),
+                     batch_size=None, batch_format="pyarrow").materialize()
+    rows = runs.count()
     tmp = out_dir.rstrip("/") + ".compact.tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    dedup.write_parquet(tmp, partition_cols=["bucket_part"])
+    runs.write_parquet(tmp)
     # root-level sidecars (_lsh_config.json, centroids, …) ride along
     for name in os.listdir(out_dir):
         src = os.path.join(out_dir, name)
-        if os.path.isfile(src):
+        if os.path.isfile(src) and ".parquet" not in name:
             shutil.copy2(src, os.path.join(tmp, name))
     old = out_dir.rstrip("/") + ".compact.old"
     shutil.rmtree(old, ignore_errors=True)
     os.replace(out_dir, old)
     os.replace(tmp, out_dir)
     shutil.rmtree(old, ignore_errors=True)
-    files_after = glob.glob(os.path.join(out_dir,
-                                         "bucket_part=*", "*.parquet"))
     return {"files_before": len(files),
-            "files_after": len(files_after), "rows": rows}
+            "files_after": len(_index_files(out_dir)), "rows": rows}
 
 
 # ---------------------------------------------- at-rest incremental LSH
 
 def build_lsh_index(ds, out_dir: str, key: str = "doc_id",
-                    col: str = "text", n_parts: int = 64,
-                    num_perm: int = 128, bands: int = 32,
-                    shingle_k: int = 3, seed: int = 42) -> None:
+                    col: str = "text", num_perm: int = 128,
+                    bands: int = 32, shingle_k: int = 3,
+                    seed: int = 42) -> None:
     """Persist the corpus's MinHash band buckets as an AT-REST LSH
-    index: ``(bucket, key)`` rows Hive-partitioned by
-    ``bucket_part = bucket mod n_parts`` (the X95 inverted-index
-    pattern — probes open only matching partitions). This is the
+    index: ``(bucket, key)`` rows in flat parquet runs at the index
+    root, each sorted by bucket (``append_lsh_index``). This is the
     100 TB incremental-dedup shape: the base corpus is hashed ONCE;
     each new shard probes the index instead of re-reading the corpus.
     Rebuild clears the directory (and any compaction leftovers beside
-    it) so stale partitions can't union in, pins the parameters
+    it) so stale runs can't union in, pins the parameters
     (``lsh_index_config``) and appends the corpus."""
     import shutil
 
@@ -1255,8 +1205,8 @@ def build_lsh_index(ds, out_dir: str, key: str = "doc_id",
     for d in ("", ".compact.old", ".compact.tmp"):
         shutil.rmtree(out_dir.rstrip("/") + d, ignore_errors=True)
     lsh_index_config(out_dir, dict(
-        key=key, col=col, n_parts=n_parts, num_perm=num_perm,
-        bands=bands, shingle_k=shingle_k, seed=seed))
+        key=key, col=col, num_perm=num_perm, bands=bands,
+        shingle_k=shingle_k, seed=seed))
     append_lsh_index(ds, out_dir)
 
 
@@ -1379,72 +1329,49 @@ def two_keys_per_bucket(t: pa.Table, key: str) -> pa.Table:
     return t.filter(pa.array(np.arange(len(tb)) - first_of_run(tb) < 2))
 
 
-def _pruned_index(out_dir: str, band_rows: pa.Table, cfg: dict,
-                  scan_stats: dict | None):
-    """The probe's index side: sort the new ``(bucket, key)`` rows once
-    and prune the index to the ``bucket_part=`` dirs they hash into.
-    Returns ``(new_buckets, new_keys, files)``: the sorted new buckets
-    (numpy) and their keys, and the sorted parquet files of the pruned
-    dirs, whose count and bytes ``scan_stats`` records next to the
-    parts'."""
+def _index_files(out_dir: str) -> list:
+    """Every run of the index: each ``*.parquet`` under ``out_dir``,
+    sorted. The glob is recursive, so an index written as Hive
+    ``bucket_part=`` dirs reads like a flat one."""
     import glob
     import os
 
-    key = cfg["key"]
-    order = pc.sort_indices(band_rows["bucket"])
-    new_buckets = band_rows["bucket"].take(order).combine_chunks() \
-                                     .to_numpy(zero_copy_only=False)
-    new_keys = band_rows[key].take(order).combine_chunks()
-    want_parts = set(pc.unique(with_bucket_part(
-        band_rows, key, cfg["n_parts"])["bucket_part"]).to_pylist())
-    all_dirs = sorted(glob.glob(os.path.join(out_dir, "bucket_part=*")))
-    dirs = [d for d in all_dirs
-            if int(d.rsplit("=", 1)[1]) in want_parts]
-    if scan_stats is not None:
-        scan_stats["n_parts_total"] = len(all_dirs)
-        scan_stats["n_parts_read"] = len(dirs)
-    files = sorted(f for d in dirs
-                   for f in glob.glob(os.path.join(d, "*.parquet")))
+    return sorted(glob.glob(os.path.join(out_dir, "**", "*.parquet"),
+                            recursive=True))
+
+
+# Matching index rows that ``_scan_index`` buffers before it folds them.
+_FOLD_ROWS = 1 << 16
+
+
+def _scan_index(out_dir: str, band_rows: pa.Table, key: str,
+                scan_stats: dict | None, fold, acc):
+    """The index rows sharing a bucket with ``band_rows``, folded into
+    ``acc``: every run streams through one pyarrow scanner in this
+    process (no Ray Data execution), the bucket ``isin`` test is the
+    scanner's filter, evaluated in its threads, and ``fold(acc,
+    tables)`` runs whenever more than ``_FOLD_ROWS`` matching rows
+    wait and once at the end, so memory is ``acc`` plus that buffer.
+    ``scan_stats`` gets the runs opened (``n_files_read``) and their
+    ``bytes_read``."""
+    import os
+
+    import pyarrow.dataset as pads
+
+    files = _index_files(out_dir)
     if scan_stats is not None:
         scan_stats["n_files_read"] = len(files)
         scan_stats["bytes_read"] = sum(os.path.getsize(f) for f in files)
-    return new_buckets, new_keys, files
-
-
-def _index_scan(new_buckets: np.ndarray, new_keys: pa.Array,
-                files: list, key: str):
-    """``lsh_index_probe``'s index side: the pruned index ``files``
-    fanned out as a Dataset of their paths. Each task reads its own
-    files with pyarrow (no ``read_parquet`` planning over many tiny
-    files) and ``_collide``s each against the broadcast sorted new
-    buckets, emitting ``(key_a, key_b)`` pairs. The indexed side
-    streams file by file inside the tasks; only the pairs reach the
-    calling process."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from zhtml_ray.stages.util import cluster_cpus
-
-    bref = ray.put((new_buckets, new_keys))
-
-    def scan(batch: pa.Table) -> pa.Table:
-        nbk, nkeys = ray.get(bref)
-        return pa.concat_tables([
-            pa.table(dict(zip(("key_a", "key_b"), _collide(
-                nbk, nkeys, pq.ParquetFile(f).read(columns=["bucket", key]),
-                key))))
-            for f in batch["path"].to_pylist()])
-
-    return rd.from_items(
-        [{"path": f} for f in files],
-        override_num_blocks=min(len(files), cluster_cpus())) \
-        .map_batches(scan, batch_size=None, batch_format="pyarrow")
-
-
-# Matching index rows that ``lsh_index_bucket_hits`` buffers before it
-# folds them into its hits.
-_FOLD_ROWS = 1 << 16
+    pending, n_pending = [], 0
+    for batch in pads.dataset(
+            files, schema=band_rows.select(["bucket", key]).schema,
+            format="parquet").to_batches(filter=pc.field("bucket").isin(
+                pc.unique(band_rows["bucket"]))):
+        pending.append(pa.Table.from_batches([batch]))
+        n_pending += batch.num_rows
+        if n_pending > _FOLD_ROWS:
+            acc, pending, n_pending = fold(acc, pending), [], 0
+    return fold(acc, pending)
 
 
 def lsh_index_bucket_hits(out_dir: str, band_rows: pa.Table,
@@ -1455,37 +1382,16 @@ def lsh_index_bucket_hits(out_dir: str, band_rows: pa.Table,
     ``band_rows``' schema. ``_collide`` of any subset of ``band_rows``
     against them gives exactly the new keys that collide with an
     indexed key other than themselves for that subset, so ONE scan
-    serves several probe sides (the job's near-dup epoch).
+    (``_scan_index``) serves several probe sides (the job's near-dup
+    epoch)."""
+    key = lsh_index_config(out_dir)["key"]
 
-    The pruned files stream through one pyarrow scanner in this
-    process, no Ray Data execution: the bucket test is the scanner's
-    filter, evaluated in its threads, and the matching rows fold into
-    the hits whenever more than ``_FOLD_ROWS`` of them wait, so memory
-    is the hits plus that buffer."""
-    import pyarrow.dataset as pads
+    def fold(hits: pa.Table, tables: list) -> pa.Table:
+        return two_keys_per_bucket(pa.concat_tables([hits, *tables]), key)
 
-    cfg = lsh_index_config(out_dir)
-    key = cfg["key"]
-    schema = band_rows.select(["bucket", key]).schema
-    new_buckets, _, files = _pruned_index(out_dir, band_rows, cfg,
-                                          scan_stats)
-    hits = schema.empty_table()
-    if not files:
-        return hits
-
-    def fold(hits: pa.Table, batches: list) -> pa.Table:
-        return two_keys_per_bucket(pa.concat_tables(
-            [hits, pa.Table.from_batches(batches, schema)]), key)
-
-    pending, n_pending = [], 0
-    for batch in pads.dataset(files, schema=schema, format="parquet") \
-            .to_batches(filter=pc.field("bucket").isin(
-                pa.array(np.unique(new_buckets)))):
-        pending.append(batch)
-        n_pending += batch.num_rows
-        if n_pending > _FOLD_ROWS:
-            hits, pending, n_pending = fold(hits, pending), [], 0
-    return fold(hits, pending)
+    return _scan_index(out_dir, band_rows, key, scan_stats, fold,
+                       band_rows.select(["bucket", key]).schema
+                       .empty_table())
 
 
 def lsh_index_probe(out_dir: str, new_ds,
@@ -1493,56 +1399,46 @@ def lsh_index_probe(out_dir: str, new_ds,
                     new_budget_rows: int = 4_000_000):
     """Probe a ``build_lsh_index`` directory with a NEW shard: returns
     a distinct candidate-pair Dataset ``(key_a=new key, key_b=indexed
-    key)`` for every band-bucket collision. The new shard is hashed
-    once under the index's pinned parameters (``collect_band_rows``,
-    budgeted by ``new_budget_rows`` — the defining asymmetry of
-    incremental dedup: the NEW side is small; the INDEXED side is the
-    unbounded one by design) and matched by the shared file-list scan
-    (``_index_scan``), then one sort makes the pairs distinct.
-    Exact-Jaccard verification composes via ``verify_jaccard_pairs``
-    over base∪new docs."""
+    key)`` for every band-bucket collision, sorted. The new shard is
+    hashed once under the index's pinned parameters
+    (``collect_band_rows``, budgeted by ``new_budget_rows`` — the
+    defining asymmetry of incremental dedup: the NEW side is small; the
+    INDEXED side is the unbounded one by design); the matching index
+    rows stream through the shared in-process scan (``_scan_index``),
+    each batch is ``_collide``d against the sorted new buckets, and the
+    pairs fold to distinct ones as they come. Exact-Jaccard
+    verification composes via ``verify_jaccard_pairs`` over base∪new
+    docs."""
     import ray.data as rd
-
-    from zhtml_ray.stages.sortagg import sorted_first_per_group
-    from zhtml_ray.stages.util import compact_blocks, drop_empty_blocks
 
     cfg = lsh_index_config(out_dir)
     key = cfg["key"]
-    nb = collect_band_rows(new_ds, cfg, new_budget_rows)
-    kt = nb.schema.field(key).type
-    empty = pa.table({"key_a": pa.array([], kt),
-                      "key_b": pa.array([], kt)})
-    new_buckets, new_keys, files = _pruned_index(out_dir, nb, cfg,
-                                                 scan_stats)
-    if not files:
-        return rd.from_arrow(empty)
-    pairs = drop_empty_blocks(
-        _index_scan(new_buckets, new_keys, files, key))
-    if pairs.count() == 0:
-        return rd.from_arrow(empty)
+    nb = collect_band_rows(new_ds, cfg, new_budget_rows).sort_by("bucket")
+    nbk = nb["bucket"].to_numpy()
+    nkeys = nb[key].combine_chunks()
+    empty = pa.table({"key_a": nkeys[:0], "key_b": nkeys[:0]})
+
+    def fold(pairs: pa.Table, tables: list) -> pa.Table:
+        return pa.concat_tables([pairs] + [
+            pa.table(dict(zip(("key_a", "key_b"),
+                              _collide(nbk, nkeys, t, key))))
+            for t in tables]) \
+            .group_by(["key_a", "key_b"], use_threads=False).aggregate([])
+
     # distinct WITHOUT canonicalizing: key_a stays the new-shard side
-    return sorted_first_per_group(compact_blocks(pairs),
-                                  ["key_a", "key_b"]).materialize()
+    return rd.from_arrow(_scan_index(out_dir, nb, key, scan_stats, fold,
+                                     empty)
+                         .sort_by([("key_a", "ascending"),
+                                   ("key_b", "ascending")]))
 
 
 def append_lsh_index(ds, out_dir: str) -> None:
     """Append a (probed) shard's band buckets, under the index's pinned
     parameters, INTO an existing ``build_lsh_index`` directory — the
     other half of the incremental lifecycle: probe new docs against the
-    index, then append them so the NEXT shard sees them. Ray's parquet
-    writer adds uniquely-named files inside the existing
-    ``bucket_part=`` partitions, so appends are safe under the same
-    partition pruning."""
+    index, then append them so the NEXT shard sees them. One range sort
+    on bucket, then Ray's parquet writer adds uniquely-named runs at
+    the index root, each sorted by bucket (sorted, a run's bucket
+    column is also smaller)."""
     cfg = lsh_index_config(out_dir)
-    # ONE range sort on bucket_part before the partitioned write:
-    # unsorted, every write block fans out across all n_parts dirs —
-    # blocks × n_parts tiny files (measured 41,216 files / 18 s just
-    # to OPEN them for a 500k-doc index, r5); sorted, each block spans
-    # a contiguous part range, so files ≈ blocks + n_parts and the
-    # probe's read is file-open-bound no more (2.1 s)
-    _band_rows_ds(ds, cfg) \
-        .map_batches(with_bucket_part,
-                     fn_kwargs={"key": cfg["key"], "n_parts": cfg["n_parts"]},
-                     batch_format="pyarrow") \
-        .sort("bucket_part") \
-        .write_parquet(out_dir, partition_cols=["bucket_part"])
+    _band_rows_ds(ds, cfg).sort("bucket").write_parquet(out_dir)

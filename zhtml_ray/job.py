@@ -22,8 +22,8 @@ def main(argv=None):
     p.add_argument("--compact-index", default=None, metavar="DIR",
                    help="maintenance mode: LSM-compact a --neardup-"
                         "index directory (run BETWEEN jobs — folds "
-                        "accumulated append files back to ~one per "
-                        "partition) and exit; --input/--output unused")
+                        "accumulated runs into a few bucket-sorted "
+                        "runs) and exit; --input/--output unused")
     p.add_argument("--input", required=False,
                    help="glob or directory of pages parquet shards "
                         "and/or .warc/.warc.gz crawl shards")

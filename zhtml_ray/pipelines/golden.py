@@ -392,10 +392,12 @@ def _gen_minhash_dedup(sf_dir: str) -> pa.Table:
     min-key roots — vs the engine's distributed bounded-round min-label
     propagation. Equal output certifies the connected components, not
     just the hashing."""
-    from zhtml_ray.functions.dedup import MinHashBatch, LshBandExplode
+    from zhtml_ray.functions.dedup import (append_band_buckets,
+                                           explode_band_buckets)
     t = _docs_table(sf_dir)
-    sigs = MinHashBatch()(t)
-    exploded = LshBandExplode()(sigs)
+    exploded = explode_band_buckets(append_band_buckets(t, {
+        "col": "text", "num_perm": 128, "bands": 32, "shingle_k": 3,
+        "seed": 42}), "doc_id")
     # bucket → star pairs with the min member (mirrors clique_limit=0)
     buckets: dict = {}
     for b, k in zip(exploded["bucket"].to_pylist(),

@@ -4938,16 +4938,16 @@ def q_incremental_neardup(sf_dir: str, threshold: float = 0.8):
     """Incremental NEAR-dup against an at-rest LSH index (X-dedup,
     r4 — the 100 TB shape X63's exact-hash snapshot dedup cannot
     cover): the base corpus (doc_id%4 != 0) is MinHash-banded ONCE
-    into a Hive-partitioned bucket index
+    into an index of bucket-sorted parquet runs
     (functions/dedup.py:build_lsh_index); the new shard (doc_id%4==0)
     is hashed once under the index's pinned parameters, and
-    lsh_index_probe fans the FILE LIST of ONLY the partitions its own
-    buckets hash into out as tasks that each read their files and
-    collide them against the broadcast sorted new buckets; the
-    candidates are then exact-Jaccard verified. The base corpus is
-    never re-read beyond the pruned partitions + pair-verify texts. Oracled ALGORITHM-
-    INDEPENDENTLY: serial brute-force Jaccard over every (new, base)
-    pair — recall AND precision of the at-rest probe."""
+    lsh_index_probe streams the index rows in its own buckets through
+    one in-process scanner, colliding each batch against the sorted
+    new buckets; the candidates are then exact-Jaccard verified. The
+    base corpus is never re-read beyond the index's (bucket, key)
+    columns + pair-verify texts. Oracled ALGORITHM-INDEPENDENTLY:
+    serial brute-force Jaccard over every (new, base) pair — recall
+    AND precision of the at-rest probe."""
     import os
 
     import pyarrow as pa

@@ -2,13 +2,14 @@
 
 The 100-TB operational lifecycle (VERDICT r4 #2): each job partition
 PROBES the at-rest MinHash/LSH index (functions/dedup.py:
-build_lsh_index layout — ``(bucket, key)`` rows Hive-partitioned by
-``bucket_part``), marks colliding docs as near-duplicates, then
-APPENDS the surviving docs' band rows so every later partition (and
-every later job) sees them. Semantics are candidate-level by design —
-the index stores hashes, never text, so there is nothing to
-exact-verify against; an LSH band collision IS the duplicate signal,
-exactly like the snapshot/incremental dedup literature's first stage:
+build_lsh_index layout — ``(bucket, key)`` rows in flat parquet runs,
+each sorted by bucket), marks colliding docs as near-duplicates, then
+APPENDS the surviving docs' band rows as one more run so every later
+partition (and every later job) sees them. Semantics are
+candidate-level by design — the index stores hashes, never text, so
+there is nothing to exact-verify against; an LSH band collision IS the
+duplicate signal, exactly like the snapshot/incremental dedup
+literature's first stage:
 
   * cross-partition: any band collision with an indexed key drops the
     probing doc (``neardup_keep = false``);
@@ -30,14 +31,14 @@ Partitions run in EPOCHS of ``overlap`` consecutive pids
      exploded by a zero-CPU task next to it; no second execution, and
      no text leaves its node). The same rows feed the probe, the
      within-partition scan and the append;
-  2. one in-process resolve (``resolve_epoch``): ONE scan over the
-     pruned index for the union of the epoch's buckets
+  2. one in-process resolve (``resolve_epoch``): ONE scan over every
+     run of the index for the union of the epoch's buckets
      (``dedup.lsh_index_bucket_hits``: the colliding index rows, at
-     most two keys per bucket, no shuffle; the pruned files stream
-     through one pyarrow scanner in the job process), then each
-     partition in ascending pid order is
-     resolved against that snapshot plus its earlier epoch-mates'
-     survivors and appends its own survivors;
+     most two keys per bucket, no shuffle; the runs stream through
+     one pyarrow scanner in the job process), then each partition in
+     ascending pid order is resolved against that snapshot plus its
+     earlier epoch-mates' survivors and appends its own survivors as
+     one run;
   3. concurrent finish: each materialized block is marked (the bucket
      column dropped, so the written schema carries only
      ``neardup_keep`` more) and written as one parquet file where it
@@ -54,20 +55,20 @@ time to collect the partition's band rows from its materialized blocks
 the partition's extraction); ``probe_s`` is the epoch's shared scan
 plus the partition's own resolve; ``append_s`` is the partition's own
 index append; ``write_s`` is the block-local mark and write. Next to
-them: ``index_parts_read``, ``index_files_read`` and
-``index_bytes_read`` of the shared scan, and ``epoch_pids``, the pids
-that shared one snapshot.
+them: ``index_parts_read`` and ``index_files_read`` (both the runs
+the shared scan opened) and its ``index_bytes_read``, and
+``epoch_pids``, the pids that shared one snapshot.
 
 The stage is append-only on the data path (a ``neardup_keep`` bool
 column, preserving the job CLI's rows == inputs manifest invariant —
 the same contract as ``--clean``) and exactly-once on the index path:
 
-  * partition appends are DETERMINISTICALLY NAMED
-    (``part-<tag><pid>.parquet`` inside each ``bucket_part=`` dir), so
-    a partition that crashed after appending but before its manifest
-    wrote is wiped (``clean_partition_files``) and re-appended
-    byte-identically on resume — the probe never sees the partition's
-    own half-written rows;
+  * a partition appends ONE DETERMINISTICALLY NAMED run
+    (``<index>/part-<tag><pid>.parquet``), so a partition that crashed
+    after appending but before its manifest wrote is wiped
+    (``clean_partition_files``) and re-appended byte-identically on
+    resume — the probe never sees the partition's own half-written
+    rows;
   * index parameters are pinned in ``<index>/_lsh_config.json`` on
     first touch (``pin_lsh_config``; the plan.json config-pinning
     convention), and every index reader and writer in
@@ -90,14 +91,12 @@ from __future__ import annotations
 import glob
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 DEFAULT_LSH_CONFIG = {
     "key": "url",
     "col": "extracted_text",
-    "n_parts": 64,
     "num_perm": 128,
     "bands": 32,
     "shingle_k": 3,
@@ -132,43 +131,31 @@ def job_tag(out_dir: str) -> str:
 def clean_partition_files(index_dir: str, pid: int,
                           tag: str = "") -> int:
     """Remove THIS JOB's partition-``pid`` deterministically-named
-    append files (and torn ``.tmp``s) from every bucket_part dir —
+    append files (and torn ``.tmp``s) anywhere under the index —
     crash recovery before a re-probe, so the partition never collides
     with its own previous half-append. Returns the number of files
     removed."""
-    pat = os.path.join(index_dir, "bucket_part=*",
-                       f"part-{tag}{pid:06d}.parquet")
-    removed = 0
-    for f in glob.glob(pat) + glob.glob(pat + ".tmp"):
+    files = glob.glob(os.path.join(
+        index_dir, "**", f"part-{tag}{pid:06d}.parquet*"), recursive=True)
+    for f in files:
         os.remove(f)
-        removed += 1
-    return removed
+    return len(files)
 
 
 def append_partition_to_index(band_rows: pa.Table, index_dir: str,
                               pid: int, cfg: dict,
                               tag: str = "") -> int:
-    """Write a partition's surviving band rows into the index with
-    deterministic per-partition file names (atomic tmp+rename per
-    bucket_part) — rerunnable after clean_partition_files. One stable
-    sort on bucket_part, then one slice per file, so each file keeps
-    its rows in ``band_rows`` order. Returns the number of bucket_part
-    files written."""
-    from zhtml_ray.functions.dedup import with_bucket_part
-
-    t = with_bucket_part(band_rows, cfg["key"], cfg["n_parts"])
-    part = t["bucket_part"].to_numpy()
-    order = np.argsort(part, kind="stable")
-    t = t.take(pa.array(order)).drop_columns(["bucket_part"])
-    parts, starts = np.unique(part[order], return_index=True)
-    ends = np.r_[starts[1:], len(order)]
-    for v, lo, hi in zip(parts.tolist(), starts.tolist(), ends.tolist()):
-        d = os.path.join(index_dir, f"bucket_part={v}")
-        os.makedirs(d, exist_ok=True)
-        final = os.path.join(d, f"part-{tag}{pid:06d}.parquet")
-        pq.write_table(t.slice(lo, hi - lo), final + ".tmp")
-        os.replace(final + ".tmp", final)
-    return len(parts)
+    """Write a partition's surviving band rows into the index as ONE
+    run sorted by bucket, ``<index>/part-<tag><pid>.parquet`` (atomic
+    tmp + rename) — rerunnable after clean_partition_files. No rows
+    write no file. Returns the number of files written (0 or 1)."""
+    if not band_rows.num_rows:
+        return 0
+    final = os.path.join(index_dir, f"part-{tag}{pid:06d}.parquet")
+    pq.write_table(band_rows.select(["bucket", cfg["key"]])
+                   .sort_by("bucket"), final + ".tmp")
+    os.replace(final + ".tmp", final)
+    return 1
 
 
 def resolve_epoch(index_dir: str, cfg: dict, parts: list,
@@ -186,8 +173,9 @@ def resolve_epoch(index_dir: str, cfg: dict, parts: list,
     appended before the next partition resolves. Returns
     ``[(drop_keys, stats), ...]`` in ``parts`` order, ``drop_keys`` an
     Arrow array of distinct keys. ``probe_s`` is the shared scan's time
-    plus P's own resolve; ``index_parts_read``, ``index_files_read``
-    and ``index_bytes_read`` are the shared scan's."""
+    plus P's own resolve; ``index_parts_read`` and ``index_files_read``
+    (both the runs the shared scan opened) and ``index_bytes_read`` are
+    the shared scan's."""
     from time import perf_counter
 
     import pyarrow.compute as pc
@@ -230,7 +218,7 @@ def resolve_epoch(index_dir: str, cfg: dict, parts: list,
             "dropped_index": len(index_drops),
             "dropped_within": len(drop_keys) - len(index_drops),
             "appended": n_docs - len(drop_keys),
-            "index_parts_read": scan_stats.get("n_parts_read", 0),
+            "index_parts_read": scan_stats["n_files_read"],
             "index_files_read": scan_stats["n_files_read"],
             "index_bytes_read": scan_stats["bytes_read"],
             "probe_s": round(scan_s + t2 - t1, 3),
