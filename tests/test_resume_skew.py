@@ -51,10 +51,113 @@ def test_manifest_lineage_fields(shards, tmp_path):
     m = json.load(open(sorted(glob.glob(os.path.join(
         out_dir, "_manifests", "part-*.json")))[0]))
     assert set(m) >= {"partition_id", "input_files", "rows", "checksum",
-                      "error_counts", "wall_s", "output_dir", "html_bytes"}
+                      "error_counts", "wall_s", "output_dir", "html_bytes",
+                      "read_blocks", "footer_html_bytes"}
     assert m["rows"] == 50
+    # the read plan: one small shard is one unsplit block, sized by the
+    # html column's uncompressed footer bytes (the values plus their
+    # length prefixes)
+    assert m["read_blocks"] == 1
+    assert m["html_bytes"] < m["footer_html_bytes"] < 1.05 * m["html_bytes"]
     assert m["input_files"]  # lineage: input shard paths recorded
     assert sum(m["error_counts"].values()) > 0
+
+
+def _executed_plans(monkeypatch) -> list:
+    """Operator names of every Ray Data execution started after the
+    call, one list per execution, in input-to-output order."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def recorded(self, dag, *args, **kwargs):
+        ops = [dag]
+        while ops[-1].input_dependencies:
+            ops.append(ops[-1].input_dependencies[0])
+        plans.append([op.name for op in reversed(ops)])
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recorded)
+    return plans
+
+
+def test_small_shards_fuse_read_parse_write(shards, tmp_path, monkeypatch):
+    """A partition of 4 small shards reads one unsplit block per shard,
+    so read → parse → write run as ONE fused operator and write one
+    parquet file per shard (Ray's default of >= 2×cpus read blocks
+    splits each file and never fuses the split read with the parse)."""
+    from zhtml_ray.stages.manifest import run_partitioned
+
+    plans = _executed_plans(monkeypatch)
+    out_dir = str(tmp_path / "out")
+    assert run_partitioned(shards[:4], out_dir, group_size=4,
+                           overlap=1)["rows"] == 200
+    [plan] = plans
+    assert [op for op in plan if op.startswith("ReadParquet")] == [
+        "ReadParquet->MapBatches(ParseExtractBatch)->Write"]
+    m = json.load(open(os.path.join(out_dir, "_manifests",
+                                    "part-000000.json")))
+    assert m["read_blocks"] == 4
+    assert len(glob.glob(os.path.join(m["output_dir"], "*.parquet"))) == 4
+
+
+def test_one_large_shard_still_splits(ray_session, tmp_path, monkeypatch):
+    """A 1-shard partition holding >= 4 MiB of html still reads one
+    block per cpu (4 here), so the session's cores share its parse."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from zhtml_ray.stages.manifest import run_partitioned
+
+    para = "<p>" + "plain words of a long page " * 40 + "</p>"
+    shard = str(tmp_path / "big.parquet")
+    pq.write_table(pa.table({
+        "url": [f"http://big/{i}" for i in range(40)],
+        "html": [f"<html><body><main><h1>page {i}</h1>{para * 100}"
+                 "</main></body></html>".encode() for i in range(40)]}),
+        shard)
+    plans = _executed_plans(monkeypatch)
+    out_dir = str(tmp_path / "out")
+    assert run_partitioned([shard], out_dir, group_size=1,
+                           overlap=1)["rows"] == 40
+    m = json.load(open(os.path.join(out_dir, "_manifests",
+                                    "part-000000.json")))
+    assert m["footer_html_bytes"] >= 4 * 1024 * 1024
+    assert m["read_blocks"] == 4
+    [plan] = plans
+    assert "ReadParquet->SplitBlocks(4)" in plan
+    assert len(glob.glob(os.path.join(m["output_dir"], "*.parquet"))) == 4
+
+
+def test_read_plan_block_count_and_order(ray_session, tmp_path):
+    """One block per file, unless fewer files than cpus hold more
+    ``target_min_block_size`` blocks of html (a block per cpu at most),
+    sized from the footers' uncompressed html bytes; the file with the
+    most html is read first."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from zhtml_ray.stages.skew import read_plan
+
+    def shard(name, rows, size):
+        f = str(tmp_path / f"{name}.parquet")
+        pq.write_table(pa.table({
+            "url": [f"http://{name}/{i}" for i in range(rows)],
+            "html": [f"{name}{i}".encode().ljust(size, b"x")
+                     for i in range(rows)]}), f)
+        return f, pq.read_metadata(f)
+
+    mib = 1024 * 1024
+    small = [shard(f"s{i}", 10 + i, 10_000) for i in range(3)]
+    giant = shard("g", 3, mib + 1000)
+    plan = read_plan(small + [giant, shard("e", 0, 0)])
+    assert plan["read_blocks"] == 5
+    assert 3 * mib + 330_000 < plan["footer_html_bytes"] < 3.5 * mib
+    assert [os.path.basename(f) for f in plan["files"]] == [
+        "g.parquet", "s2.parquet", "s1.parquet", "s0.parquet", "e.parquet"]
+    assert read_plan(small)["read_blocks"] == 3
+    assert read_plan([giant])["read_blocks"] == 3
+    assert read_plan([giant, giant])["read_blocks"] == 4
 
 
 def test_skew_routing_matches_unrouted(ray_session, tmp_path):
@@ -891,22 +994,13 @@ def test_neardup_job_runs_one_execution_per_partition(ray_session, tmp_path,
     concurrent extractions: the band rows, the index scan and the marked
     write run without one (the design before ran 5: 2 extractions, 1
     scan, 2 mark+write)."""
-    from ray.data._internal.execution.streaming_executor import \
-        StreamingExecutor
     from zhtml_ray.job import main
 
     shards = _neardup_shards(tmp_path)
     idx = str(tmp_path / "idx")
     assert main(["--input", shards[0], "--output", str(tmp_path / "prev"),
                  "--clean", "--neardup-index", idx]) == 0
-    runs = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kwargs):
-        runs.append(self)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    runs = _executed_plans(monkeypatch)
     out_dir = str(tmp_path / "out")
     assert main(["--input", str(tmp_path / "nd-*.parquet"),
                  "--output", out_dir, "--group-size", "3", "--overlap", "2",

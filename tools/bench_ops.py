@@ -31,6 +31,7 @@ import shutil
 import sys
 import tempfile
 import time
+import zlib
 from collections.abc import Callable
 from typing import Any, NamedTuple
 
@@ -69,7 +70,7 @@ from zhtml_ray.pipelines.ops_queries import (  # noqa: E402
 
 CACHE = os.path.join(tempfile.gettempdir(), "zhtml_ray_ops_bench")
 # bump when a builder's output changes, so no stale fixture is timed
-FIXTURE_VERSION = 1
+FIXTURE_VERSION = 2
 # rows at --scale 1; "docsdir" is the docs corpus as one sf-style file
 SIZES = {"docs": 200_000, "events": 2_000_000, "edges": 3_000_000,
          "emb": 200_000, "media": 30_000}
@@ -105,12 +106,31 @@ def _build_docs(out: str, n: int, fx: Fixtures) -> None:
             pq.write_table(part, os.path.join(out, f"part-{s:04d}.parquet"))
 
 
+# bigrams planted in 1/2, 1/4 and 1/8 of the docsdir docs: each is well
+# above 1/700 of all bigrams (docs average ~55 words), so
+# q_heavy_hitters' nominees reach its recount at every scale; the
+# word-soup corpus alone holds no bigram that frequent
+HEAVY_BIGRAMS = ("heavy hitter", "planted pair", "frequent bigram")
+
+
+def _plant_heavy_bigram(text: str) -> str:
+    """Prefix one of ``HEAVY_BIGRAMS`` chosen by a hash of the text, so
+    exact copies stay exact copies."""
+    h = zlib.crc32(text.encode()) & 7
+    i = 0 if h < 4 else 1 if h < 6 else 2 if h == 6 else None
+    return text if i is None else f"{HEAVY_BIGRAMS[i]} {text}"
+
+
 def _build_docsdir(out: str, n: int, fx: Fixtures) -> None:
     """The docs corpus as ``documents.parquet`` of an sf-style dir, with
-    the ``source`` column ``q_incremental_dedup`` splits on."""
+    the ``source`` column ``q_incremental_dedup`` splits on and the
+    ``HEAVY_BIGRAMS`` planted."""
     t = pq.read_table(fx.get("docs")[1])
     src = pc.binary_join_element_wise(
         "src", pc.cast(pc.bit_wise_and(t["doc_id"], 15), pa.string()), "")
+    text = pa.array([x if x is None else _plant_heavy_bigram(x)
+                     for x in t["text"].to_pylist()], pa.string())
+    t = t.set_column(t.schema.get_field_index("text"), "text", text)
     pq.write_table(t.append_column("source", src),
                    os.path.join(out, "documents.parquet"))
 

@@ -5,7 +5,10 @@ partition writes lineage records and checkpoint manifests").
 Partition = a contiguous group of input shard files (deterministic ids
 from the sorted input list). Each partition is one streaming Ray Data
 sub-execution: read → extract → write to a temp dir → atomic rename →
-manifest record. On resume, completed partition ids are loaded and
+manifest record. Its read gets one unsplit block per small shard
+(``stages/skew.read_plan``, from the parquet footers), so Ray fuses
+read → extract → [clean] → write into one task per input shard, which
+writes one parquet file. On resume, completed partition ids are loaded and
 their input shards are skipped BEFORE any read is issued. With
 ``--neardup-index`` a partition splits into a prepare half (extract +
 MinHash band buckets in one fused map, materialized, then the band rows
@@ -17,7 +20,11 @@ scan, the resolve and the write run without one.
 
 The manifest row doubles as lineage + metrics:
   {partition_id, input_files, rows, html_bytes, checksum,
-   error_counts, wall_s, output_dir}
+   error_counts, wall_s, output_dir, read_blocks, footer_html_bytes}
+
+read_blocks is the block count the partition's parquet reads requested
+and footer_html_bytes the html column's uncompressed footer size they
+were planned from (WARC shards are not counted).
 
 checksum = sum of crc32(url || extracted_text) over rows (mod 2^64) —
 order-insensitive, so any parallelism/partitioning that produces the
@@ -72,6 +79,7 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
     import ray.data as rd
 
     from zhtml_ray.pipelines.extract import extract_pages
+    from zhtml_ray.stages.skew import read_plan
 
     pid = part["partition_id"]
     t0 = time.time()
@@ -102,17 +110,28 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
     for f in part["input_files"]:
         if f.endswith((".warc", ".warc.gz")):
             continue
-        sch = _pq.read_schema(f)
+        meta = _pq.read_metadata(f)
+        sch = meta.schema.to_arrow_schema()
         shape = tuple(c for c in ("url", "html", "lang")
                       if c in sch.names)
-        by_shape.setdefault(shape, []).append(f)
+        by_shape.setdefault(shape, []).append((f, meta))
         if "lang" in sch.names and lang_type is None:
             lang_type = sch.field("lang").type
     want = tuple(dict.fromkeys(
         c for sh in list(by_shape) + ([("url", "html")] if warc_files else [])
         for c in sh))
-    shaped = [(shape, rd.read_parquet(files, columns=list(shape)))
-              for shape, files in sorted(by_shape.items())]
+    # the same footers plan each shape's read (stages/skew.read_plan):
+    # one unsplit block per small shard, so read → extract → [clean] →
+    # [band buckets] → write fuse into one task per file, and the file
+    # with the most html starts first
+    shaped = []
+    read = {"read_blocks": 0, "footer_html_bytes": 0}
+    for shape, fm in sorted(by_shape.items()):
+        plan = read_plan(fm)
+        read = {k: read[k] + plan[k] for k in read}
+        shaped.append((shape, rd.read_parquet(
+            plan["files"], columns=list(shape),
+            override_num_blocks=plan["read_blocks"])))
     if warc_files:
         from zhtml_ray.sources.warc import read_warc
         shaped.append((("url", "html"), read_warc(warc_files).map_batches(
@@ -141,7 +160,7 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
         out = out.map_batches(append_clean_columns,
                               batch_format="pyarrow")
     prep = {"part": part, "t0": t0, "tmp_dir": tmp_dir,
-            "final_dir": final_dir}
+            "final_dir": final_dir, "read": read}
     if nd_cfg is not None:
         # each doc's LSH band buckets are one more column of the same
         # fused extraction map; materialize, since the extraction is
@@ -247,6 +266,7 @@ def _finish_partition(prep: dict, drop_keys=None,
         "error_counts": err_counts,
         "wall_s": round(time.time() - prep["t0"], 3),
         "output_dir": final_dir,
+        **prep["read"],
     }
     if nd_stats is not None:
         manifest["neardup"] = nd_stats

@@ -13,9 +13,11 @@ The double-read design loses: the second scan + the union/repartition
 barriers cost far more than giant isolation saves. The winning design
 relies on Ray Data's own block layout:
 
-  * one ``read_parquet`` pass; the reader's dynamic block splitting
-    (``DataContext.target_max_block_size``) caps block bytes, so a
-    shard of giants becomes many 1-row blocks at ingest — no shuffle;
+  * one ``read_parquet`` pass split into ≥ 2 blocks per cpu
+    (``extract_with_skew_routing``); the reader's dynamic block
+    splitting (``DataContext.target_max_block_size``, 32 MiB under
+    ``cap_block_size``) also caps block bytes, so a shard of giants
+    becomes many blocks at ingest — no shuffle;
   * ``batch_size=None`` → each block is one task ("block-as-batch"):
     a giant's block IS its own task, so it parses on its own core and
     never rides with 63 small-row hostages (and normal blocks skip the
@@ -26,6 +28,20 @@ relies on Ray Data's own block layout:
     ``spread_giants`` (shuffle repartition) remains the
     explicit-shuffle fallback — pay the all-to-all only when the
     layout is hostile.
+
+Job partitions (``stages/manifest``) take their read's block count
+from ``read_plan``: one unsplit block per shard file, more only when
+fewer files than cpus hold several MB of html. Ray 2.49 fuses an
+unsplit read with the maps after it, so read → parse → [clean] →
+[band buckets] → write run as one task per file; its default (≥ 2×cpus
+blocks) splits small shards and pays a read task and an object-store
+hop per block (crawl_mix on 4 cpus: 16 parse tasks at 54–60% core
+use). The price is the isolation above: a job partition's shard of
+giants under 32 MiB is one task that parses them one after another.
+``extract_with_skew_routing`` keeps its split read (≥ 2 blocks per
+cpu), where a giant's block is its own task; moving it onto
+``read_plan`` has not been measured on the layouts where the two
+plans differ (mega-doc shards, fewer files than 2×cpus).
 """
 
 from __future__ import annotations
@@ -34,7 +50,9 @@ DEFAULT_GIANT_BYTES = 1_000_000  # ≈ P99.9 of Common-Crawl page sizes
 
 # Cap on read-output block bytes: ≥1 giant per block still parses alone;
 # a worst-case block holds ~GIANT_BLOCK_BYTES of sequential parse work
-# (~4s at the measured 8 MB/s single-core rate) — the straggler ceiling.
+# (~4s at the measured 8 MB/s single-core rate) — the straggler ceiling
+# of a split read. A job partition's fused read (``read_plan``) runs all
+# of a file's blocks in one task, so there it bounds no task.
 GIANT_BLOCK_BYTES = 32 * 1024 * 1024
 
 
@@ -50,6 +68,48 @@ def cap_block_size(max_bytes: int = GIANT_BLOCK_BYTES) -> None:
     if ctx.target_max_block_size is None or \
             ctx.target_max_block_size > max_bytes:
         ctx.target_max_block_size = max_bytes
+
+
+def read_plan(shards: list) -> dict:
+    """Plan ONE ``read_parquet`` over ``shards``, a list of ``(path,
+    parquet footer)`` (``pq.read_metadata``), from the footers' html
+    column uncompressed sizes (no data read): ``{"files": the paths,
+    most html first, "read_blocks": max(n_files, min(cluster_cpus(),
+    html_bytes // DataContext.target_min_block_size)),
+    "footer_html_bytes": html_bytes}``.
+
+    At least one block per file: Ray 2.49 never fuses a read that splits
+    its files into more blocks than files with the next map
+    (``operator_fusion._can_fuse``: additional split factor > 1), and
+    its default read parallelism is ≥ 2×cpus blocks. So small shards
+    left to the default pay one read task and one object-store hop per
+    block, while one unsplit block per file runs read → parse → … →
+    write as ONE fused task per file. Fewer files than cpus holding
+    several MB of html still split, up to one block per cpu and never
+    below ``target_min_block_size`` a block.
+
+    Read tasks start in file order, and until its first task returns
+    Ray Data budgets a fused task's output at ``target_max_block_size``
+    a block, which admits only 2–3 concurrent tasks in a 512 MB object
+    store: the costliest file goes first, so a giant shard does not
+    start last (long_pages on 4 cpus: a 1.7 s task that started at
+    1.2 s in a 2.9 s job)."""
+    import ray.data as rd
+
+    from zhtml_ray.stages.util import cluster_cpus
+
+    sizes = [sum(rg.column(j).total_uncompressed_size
+                 for rg in map(md.row_group, range(md.num_row_groups))
+                 for j in range(rg.num_columns)
+                 if rg.column(j).path_in_schema == "html")
+             for _, md in shards]
+    html_bytes = sum(sizes)
+    min_block = rd.DataContext.get_current().target_min_block_size
+    return {"files": [f for _, (f, _) in sorted(
+                zip(sizes, shards), key=lambda t: -t[0])],
+            "read_blocks": max(len(shards), min(cluster_cpus(),
+                                                html_bytes // min_block)),
+            "footer_html_bytes": html_bytes}
 
 
 def extract_with_skew_routing(paths, columns=("url", "html", "lang"),
