@@ -168,3 +168,44 @@ def test_classify_link_density_boundary_pinned():
     assert extract_document(b"<body>" + linky)["extracted_text"] == ""
     plain = f"<div>{words}</div>".encode()
     assert extract_document(b"<body>" + plain)["extracted_text"] != ""
+
+
+def test_extract_leaves_no_cyclic_garbage():
+    """Every parsed tree is freed by refcount: once extract_document has
+    read it, no reference cycle is left (builder and tokenizer dispatch
+    through per-class tables; the tree is detached). With collection
+    off, a sweep over the tree corpus, the golden pages and hostile
+    shapes (index lane, foster parenting, adoption agency, foreign
+    content, template, frameset) must leave nothing for gc.collect()."""
+    import gc
+    from tests.test_tree_corpus import _CASES
+    from zhtml_ray.sources.pages import gen_pages_table
+
+    n = 600
+    hostile = [
+        "<div>" * 200 + "x" + "</div>" * 50,           # deep-stack index
+        "<div><table>" + "x<i></i>" * n,                # foster parenting
+        "<table><tr><td>a</td></tr>x<b>y</b></table>",
+        "<b><p><i>a<div>b</b>c</div>d",                 # adoption agency
+        "<a>" + "<em>" * 60 + "<div>" * 80 + "</a>",
+        "<b><div>" + "<span>s</span>" * n + "</b>",
+        "<svg><foreignObject><p>f</foreignObject><g>x</g></svg>",
+        "<math><mtext><p>m</mtext><mi>x</mi></math>",
+        "<template><td>q</template><template><tr>",
+        "<p><frameset><frame>",                         # dropped body
+        "".join(f"<b a={i}>" for i in range(40)) + "x",  # _AfeList upgrade
+    ]
+    docs = ([c["data"] for c in _CASES if c["fragment"] is None]
+            + gen_pages_table(500, seed=42).column("html").to_pylist()
+            + hostile)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for include_nodes in (False, True):
+            for d in docs:
+                extract_document(d, include_nodes=include_nodes)
+            assert gc.collect() == 0, f"include_nodes={include_nodes}"
+    finally:
+        if was_enabled:
+            gc.enable()

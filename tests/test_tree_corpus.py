@@ -138,3 +138,46 @@ def test_regression_grid(case):
 
 def test_regression_grid_nonempty():
     assert len(_GRID_CASES) >= 1500
+
+
+def test_in_body_lane_matches_process():
+    """Differential for the tree builder's in-body lane: every corpus
+    tree case, every regression-grid case and every golden page must
+    give the same tree and the same error list (codes and positions)
+    with the lane on and off."""
+    from zhtml_ray.html import treebuilder as tb
+    from zhtml_ray.sources.pages import gen_pages_table
+
+    def run(data, fragment):
+        r = (tb.parse_fragment(data, fragment) if fragment is not None
+             else tb.parse(data))
+        return serialize(r.document), r.errors
+
+    # one directed shape per lane guard: frameset_ok after void tags and
+    # text, a block start with a p in button scope, <a> inside <a>,
+    # <nobr>, text needing afe reconstruction, formatting end tags whose
+    # afe entry is not the last, and the end tags the lane leaves alone
+    directed = [
+        # (the first in-body token comes through process(), which
+        # inserts the implied body; the lane sees the ones after it)
+        "<span><img><frameset>", "<span><br><frameset>",
+        "<span> \n<frameset>", "<span>x<frameset>", "<p><div>x", "<p><button><div>x", "<a>1<a>2",
+        "<a><div><a>x", "<nobr>1<nobr>2", "<b><p>x</p>y", "<b>1<i>2</b>3",
+        "<b><i>x</i></b>", "<i><b>x</i>y</b>", "<form>x</form>",
+        "<object>x</object>", "<div>x</body>y</html>z", "<span>x</br>",
+        "<template>x</template>", "<p>" + "<span>" * 60 + "x",
+    ]
+    inputs = [(c["data"], c["fragment"]) for c in _CASES + _GRID_CASES]
+    inputs += [(d, None) for d in directed]
+    inputs += [(h, None) for h in
+               gen_pages_table(500, seed=42).column("html").to_pylist()]
+    saved = tb._LANE_ON
+    try:
+        for data, fragment in inputs:
+            tb._LANE_ON = True
+            on = run(data, fragment)
+            tb._LANE_ON = False
+            off = run(data, fragment)
+            assert on == off, repr(data)[:200]
+    finally:
+        tb._LANE_ON = saved

@@ -3,7 +3,7 @@ plus full-parse crash/invariant sweep.
 
     python tools/fuzz_differential.py [seconds] [seed]
 
-Three oracles per random soup:
+Four oracles per random soup:
   1. DATA fused-regex fast path vs the disabled-fast spec machine
      (token streams coalesced-identical + error-code multisets equal
      — the TestFastPathEquivalence differential, run at fuzz scale).
@@ -12,6 +12,10 @@ Three oracles per random soup:
   3. Full parse() + extraction on every soup: must not raise, and the
      DOM must satisfy structural invariants (single <html> root with
      <head>+<body> children present, parent/child links consistent).
+  4. The tree builder's in-body lane (treebuilder._LANE_ON) vs the
+     insertion-mode machine alone: parse() and the iteration's
+     parse_fragment() must give the same serialized tree and the same
+     error list, codes and positions both.
 
 Soups are grammar-biased (tags, attrs, entities, comments, doctypes,
 script/style content, foreign content, CR/NUL salt) — the mix that
@@ -39,6 +43,11 @@ FRAGS = [
     "<table>", "<tr>", "<td>", "</table>", "<template>", "</template>",
     "<select>", "<option>", "<li>", "<dd>", "<button>", "<form>",
     "<frameset>", "<noscript>", "<caption>", "<colgroup>", "<col>",
+    # in-body lane shapes: plain, void, block and formatting tags with
+    # their end tags
+    "<div>", "</div>", "<span>", "</span>", "<li>", "</li>", "<ul>",
+    "</ul>", "<i>", "</i>", "<em>", "</em>", "<nobr>", "</nobr>",
+    "<h1>", "</h1>", "<img>", "<br>", "</br>", "<section>", "</section>",
     "text ", "x", " ", "\t", "\n", "\r", "\r\n", "\x00", "'", '"',
     "`", "!", "?", "/", "PUBLIC", "SYSTEM", "<!--<script>", "<b/>",
     # unicode salt: combining, astral, noncharacter, C1, BMP CJK,
@@ -70,6 +79,8 @@ def main():
 
     from tests.test_tokenizer import TestFastPathEquivalence as FP
     from zhtml_ray.html import tokenizer as tkz
+    from zhtml_ray.html import treebuilder as tb
+    from zhtml_ray.html.dom import serialize
     from zhtml_ray.html.encoding import sniff_decode
     from zhtml_ray.html.extract import extract_document
     from zhtml_ray.html.treebuilder import parse, parse_fragment
@@ -90,6 +101,25 @@ def main():
             tkz._RAW_FUSED_ON = saved
         return (FP._coalesce(fast[0]), fast[1]) == \
             (FP._coalesce(slow[0]), slow[1])
+
+    def lane_differential(s: str, ctx: str, ns: int) -> str | None:
+        def run():
+            r = parse(s)
+            f = parse_fragment(s, ctx, context_ns=ns)
+            return (serialize(r.document), r.errors,
+                    serialize(f.document), f.errors)
+
+        on = run()
+        tb._LANE_ON = False
+        try:
+            off = run()
+        finally:
+            tb._LANE_ON = True
+        if on[:2] != off[:2]:
+            return "document"
+        if on[2:] != off[2:]:
+            return "fragment"
+        return None
 
     from zhtml_ray.html.dom import ELEMENT
 
@@ -137,6 +167,11 @@ def main():
         # fragment lane: every context must parse without raising and
         # keep parent links consistent
         ctx, ns = FRAGMENT_CONTEXTS[i % len(FRAGMENT_CONTEXTS)]
+        bad = lane_differential(s, ctx, ns)
+        if bad:
+            print(json.dumps({"fail": f"in-body lane divergence ({bad})",
+                              "input": s, "ctx": ctx, "iter": i}))
+            sys.exit(1)
         fres = parse_fragment(s, ctx, context_ns=ns)
         stack = [fres.document]
         while stack:

@@ -88,6 +88,32 @@ class Document(Node):
         self.doctype_system = None
 
 
+def detach(root: Node) -> None:
+    """Clear ``parent`` and ``_ie`` on every node under ``root``. The
+    tree is cyclic (parent pointers; ``_ie`` entries point back at their
+    node), so a dropped tree waits for the cyclic collector. Detached,
+    it is freed by refcount the moment the last reference goes. Call it
+    once the tree has been read; the children lists stay intact."""
+    stack = [root]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        node = pop()
+        node.parent = None
+        node._ie = None
+        children = node.children
+        if children:
+            extend(children)
+
+
+def flatten_detached(doc: Document) -> dict:
+    """``flatten(doc, with_attrs=True)``, then ``detach(doc)``: the node
+    table of a tree nothing else reads."""
+    flat = flatten(doc, with_attrs=True)
+    detach(doc)
+    return flat
+
+
 def flatten(doc: Document, with_attrs: bool = True):
     """Depth-first flatten to parallel lists (→ Arrow list<struct> column):
     (parent, kind, tag, ns, attr_keys, attr_vals, text, depth). Root

@@ -25,7 +25,7 @@ change here invalidates golden files, regenerate via tests/gen_golden.py):
 
 from __future__ import annotations
 
-from zhtml_ray.html.dom import ELEMENT, NS_HTML, TEXT, flatten
+from zhtml_ray.html.dom import ELEMENT, NS_HTML, TEXT, detach, flatten_detached
 from zhtml_ray.html.treebuilder import parse
 
 _SKIP = frozenset((
@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ExtractThresholds:
-    """Per-actor extraction config (SURVEY.md §2.3 ST6), threaded through
-    ``fn_constructor_kwargs`` into the actor pool. The DEFAULTS ARE THE
+    """Extraction config (SURVEY.md §2.3 ST6), shipped to the map's
+    tasks with the ``ParseExtractBatch`` instance. The DEFAULTS ARE THE
     PINNED ORACLE — the golden harness runs with `None`/default; only
     non-default instances change output."""
 
@@ -289,12 +289,13 @@ def extract_document(raw, include_nodes: bool = False,
     result = parse(raw)
     doc = result.document
     if include_nodes:
-        flat = flatten(doc, with_attrs=True)
+        flat = flatten_detached(doc)
         out = extract_from_flat(flat, th)
         out["n_nodes"] = len(flat["parent"])
         out["nodes"] = flat
     else:
         blocks, n_nodes = _segment_tree(doc)
+        detach(doc)
         _classify(blocks, th)
         out = _assemble(blocks)
         out["n_nodes"] = n_nodes

@@ -314,7 +314,6 @@ class Tokenizer:
         self.allow_cdata = False  # tree builder sets True in foreign content
         self.errors: list[tuple[str, int]] = []
         self._newlines: list[int] | None = None
-        self._dispatch = None
         self._started = False
         if collect_input_errors:
             self.errors.extend(_scan_input_errors(self.s))
@@ -360,16 +359,9 @@ class Tokenizer:
                 self._err("eof-in-cdata", self.n)
         if self.pos >= self.n:
             return None
-        d = self._dispatch
-        if d is None:
-            d = self._dispatch = {
-                DATA: self._data, RCDATA: self._rcdata,
-                RAWTEXT: self._rawtext, SCRIPT_DATA: self._script_data,
-                PLAINTEXT: self._plaintext,
-                CDATA_SECTION: self._cdata_section,
-            }
+        d = _STATE_FNS
         while self.pos < self.n:
-            toks = d[self.state]()
+            toks = d[self.state](self)
             if toks:
                 return toks
         return None
@@ -1268,6 +1260,16 @@ class Tokenizer:
             self._err("control-character-reference", pos)
             code = _CHARREF_REMAP.get(code, code)
         return chr(code)
+
+
+# state -> plain function (``next_tokens`` calls ``fn(self)``): a
+# per-tokenizer dict of bound methods would make every tokenizer a
+# reference cycle that only the cyclic collector frees
+_STATE_FNS = {
+    DATA: Tokenizer._data, RCDATA: Tokenizer._rcdata,
+    RAWTEXT: Tokenizer._rawtext, SCRIPT_DATA: Tokenizer._script_data,
+    PLAINTEXT: Tokenizer._plaintext, CDATA_SECTION: Tokenizer._cdata_section,
+}
 
 
 class _TagBuilder:

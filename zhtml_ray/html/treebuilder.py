@@ -20,7 +20,7 @@ from __future__ import annotations
 from zhtml_ray.html import tokenizer as tkz
 from zhtml_ray.html.dom import (
     COMMENT, DOCTYPE, DOCUMENT, ELEMENT, NS_HTML, NS_MATHML, NS_SVG,
-    QUIRKS_LIMITED, QUIRKS_NO, QUIRKS_YES, TEXT, Document, Node,
+    QUIRKS_LIMITED, QUIRKS_NO, QUIRKS_YES, TEXT, Document, Node, detach,
 )
 
 _WS = "\t\n\f\r "
@@ -347,15 +347,17 @@ class TreeBuilder:
         self.done = False
         self.errors: list[tuple[str, int]] = []
         self.fragment_context: Node | None = None
-        # mode dispatch table (avoids getattr+string-concat per token);
-        # the NAME list is computed once per class — a dir() scan per
-        # document was measurable at ~1k docs/s
+        # mode -> plain function, built once per class: a per-document
+        # dict of bound methods made every builder a reference cycle
+        # (freed only by the cyclic collector), and per class keeps
+        # subclass overrides of mode_* working
         cls = type(self)
-        names = cls.__dict__.get("_mode_names")
-        if names is None:
-            names = [n[5:] for n in dir(cls) if n.startswith("mode_")]
-            cls._mode_names = names
-        self._modes = {n: getattr(self, "mode_" + n) for n in names}
+        modes = cls.__dict__.get("_mode_fns")
+        if modes is None:
+            modes = {n[5:]: getattr(cls, n) for n in dir(cls)
+                     if n.startswith("mode_")}
+            cls._mode_fns = modes
+        self._modes = modes
         self.ever_foreign = False  # no foreign element ever pushed →
         # the foreign-content dispatch + allow_cdata updates are no-ops
 
@@ -372,6 +374,9 @@ class TreeBuilder:
         t = self.tokenizer
         next_tokens = t.next_tokens
         process = self.process
+        stack = self.stack
+        lane = _LANE_ON
+        lane_start = _LANE_START
         while True:  # batch pull: no per-token generator yield/resume
             toks = next_tokens()
             if toks is None or self.done:
@@ -379,6 +384,94 @@ class TreeBuilder:
             for tok in toks:
                 if self.done:
                     break
+                # In-body lane: the common tokens of an all-HTML, shallow
+                # in_body stack, inserted here with exactly the effects
+                # process() would have (no errors arise on these paths);
+                # anything else falls through to process(). With no
+                # foreign element ever pushed, every open element is HTML.
+                if (lane and self.mode == "in_body" and not self.ever_foreign
+                        and not self.skip_newline and not self.foster
+                        and self._idx is None
+                        and 0 < len(stack) < _DEEP_STACK):
+                    kind = tok[0]
+                    if kind == "Character":
+                        data = tok[1]
+                        afe = self.afe
+                        # reconstruct_afe would be a no-op
+                        if data and "\x00" not in data and (
+                                not afe or afe[-1] is None
+                                or afe[-1] in stack):
+                            cur = stack[-1]
+                            kids = cur.children
+                            if kids and kids[-1].kind == TEXT:
+                                kids[-1].parts.append(data)
+                            else:
+                                node = Node(TEXT)
+                                node.parts = [data]
+                                node.parent = cur
+                                kids.append(node)
+                            if self.frameset_ok and data.strip(_WS):
+                                self.frameset_ok = False
+                            continue
+                    elif kind == "StartTag":
+                        name = tok[1]
+                        k = lane_start.get(name, _LANE_PLAIN)
+                        if k:
+                            afe = self.afe
+                            if k == _LANE_BLOCK:
+                                # close_p would be a no-op: no p in
+                                # button scope
+                                for node in reversed(stack):
+                                    nm = node.name
+                                    if nm == "p":
+                                        k = 0
+                                        break
+                                    if nm in _BUTTON_SCOPE_HTML:
+                                        break
+                            elif afe and afe[-1] is not None \
+                                    and afe[-1] not in stack:
+                                k = 0  # reconstruct_afe has work to do
+                            elif k == _LANE_FMT:
+                                if afe.__class__ is not list:
+                                    k = 0  # hostile-size afe: spec path
+                                elif name == "a":
+                                    # _ibs_a: an open <a> after the last
+                                    # marker runs the adoption agency
+                                    for e in reversed(afe):
+                                        if e is None:
+                                            break
+                                        if e.name == "a":
+                                            k = 0
+                                            break
+                            if k:
+                                cur = stack[-1]
+                                node = Node(ELEMENT, name, NS_HTML,
+                                            tok[2] or {})
+                                node.parent = cur
+                                cur.children.append(node)
+                                if k == _LANE_VOID:
+                                    self.frameset_ok = False
+                                else:
+                                    stack.append(node)
+                                    if k == _LANE_FMT:
+                                        self.push_afe(node)
+                                continue
+                    elif kind == "EndTag":
+                        # the current node's own end tag: every in-body
+                        # rule outside _LANE_END_STOP just pops it
+                        name = tok[1]
+                        cur = stack[-1]
+                        if cur.name == name and name not in _LANE_END_STOP:
+                            if name not in FORMATTING:
+                                stack.pop()
+                                continue
+                            afe = self.afe
+                            if afe and afe[-1] is cur:
+                                # the adoption agency finds no furthest
+                                # block: it pops and drops the entry
+                                stack.pop()
+                                afe.pop()
+                                continue
                 process(tok)
                 if self.ever_foreign:
                     # adjusted-current-node → CDATA allowed in foreign
@@ -435,6 +528,7 @@ class TreeBuilder:
         for ch in list(root.children):
             root.remove(ch)
             frag.append(ch)
+        detach(self.doc)
         errors = sorted(t.errors + self.errors, key=lambda e: e[1])
         return ParseResult(frag, errors, line_col=t.line_col)
 
@@ -463,7 +557,7 @@ class TreeBuilder:
         if self.skip_newline and tok[0] != "Character":
             self.skip_newline = False
         if not self.ever_foreign or not self.stack:
-            return self._modes[self.mode](tok)  # inlined process_html
+            return self._modes[self.mode](self, tok)  # inlined process_html
         node = self._acn()
         if node.ns == NS_HTML:
             return self.process_html(tok)
@@ -487,7 +581,7 @@ class TreeBuilder:
         return self.process_foreign(tok)
 
     def process_html(self, tok):
-        self._modes[self.mode](tok)
+        self._modes[self.mode](self, tok)
 
     def reprocess(self, tok):
         self.process(tok)
@@ -1498,6 +1592,7 @@ class TreeBuilder:
         if body.parent is not None:
             body.parent.remove(body)
         del self.stack[1:]
+        detach(body)  # dropped for good: free it by refcount
         self.insert_element("frameset", tok[2])
         self.mode = "in_frameset"
 
@@ -2644,6 +2739,31 @@ def _build_ibs_dispatch():
 
 
 _IBS_DISPATCH = _build_ibs_dispatch()
+
+# Start-tag kinds of the in-body lane (TreeBuilder._run); 0 = process().
+# Names absent from _IBS_DISPATCH are "any other start tag" (_LANE_PLAIN).
+_LANE_PLAIN, _LANE_VOID, _LANE_BLOCK, _LANE_FMT = 1, 2, 3, 4
+
+
+def _build_lane_start():
+    T = TreeBuilder
+    kinds = {T._ibs_plain: _LANE_PLAIN, T._ibs_void: _LANE_VOID,
+             T._ibs_block: _LANE_BLOCK, T._ibs_formatting: _LANE_FMT,
+             T._ibs_a: _LANE_FMT}
+    d = {n: kinds.get(f, 0) for n, f in _IBS_DISPATCH.items()}
+    d["nobr"] = 0  # its in-scope check may run the adoption agency
+    return d
+
+
+_LANE_START = _build_lane_start()
+# End tags whose in-body rule does more than pop the current node.
+_LANE_END_STOP = frozenset((
+    "body", "html", "template", "form", "applet", "marquee", "object", "br"))
+_BUTTON_SCOPE_HTML = frozenset(n for ns, n in _SCOPE_BUTTON if ns == NS_HTML)
+
+# Differential switch for the in-body lane (the lane-off parse is the
+# reference); not a setting.
+_LANE_ON = True
 
 
 def parse(raw) -> ParseResult:

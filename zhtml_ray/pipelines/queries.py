@@ -1424,7 +1424,7 @@ def q_page_structure(sf_dir: str):
     from zhtml_ray.html.dom import ELEMENT, TEXT
     from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
-    from zhtml_ray.stages.node_table import flatten, parse
+    from zhtml_ray.stages.node_table import parse_flat
 
     heads = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
 
@@ -1436,7 +1436,7 @@ def q_page_structure(sf_dir: str):
                 "n_paras", "n_links", "max_depth")}
         for i, h in enumerate(htmls):
             try:
-                flat = flatten(parse(h or b"").document, with_attrs=True)
+                flat = parse_flat(h)
             except Exception:  # noqa: BLE001 per-row isolation
                 continue
             kind = np.asarray(flat["kind"], np.int8)

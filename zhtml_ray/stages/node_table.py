@@ -9,8 +9,16 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from zhtml_ray.html.dom import ELEMENT, TEXT, flatten
+from zhtml_ray.html.dom import ELEMENT, TEXT, flatten_detached
 from zhtml_ray.html.treebuilder import parse
+
+
+def parse_flat(html) -> dict:
+    """Parse one page (None reads as empty) and flatten its tree with
+    attributes (``dom.flatten`` columns). The tree is detached after the
+    flatten, so it is freed by refcount, not by the cyclic collector."""
+    return flatten_detached(parse(html or b"").document)
+
 
 NODE_TYPE = pa.list_(pa.struct([
     ("parent", pa.int32()), ("kind", pa.int8()), ("tag", pa.string()),
@@ -35,7 +43,7 @@ class NodeTableBatch:
         offsets = [0]
         for h in htmls:
             try:
-                flat = flatten(parse(h or b"").document, with_attrs=True)
+                flat = parse_flat(h)
                 # validate BEFORE extending the shared accumulators: a
                 # ragged flatten output must isolate THIS document, not
                 # misalign the whole batch's columns (per-row isolation
@@ -68,7 +76,7 @@ class LinksBatch:
         for url, h in zip(batch["url"].to_pylist(),
                           batch["html"].to_pylist()):
             try:
-                flat = flatten(parse(h or b"").document, with_attrs=True)
+                flat = parse_flat(h)
             except Exception:  # noqa: BLE001
                 continue
             parent = flat["parent"]
@@ -151,7 +159,7 @@ class ImagesBatch:
         for url, h in zip(batch["url"].to_pylist(),
                           batch["html"].to_pylist()):
             try:
-                flat = flatten(parse(h or b"").document, with_attrs=True)
+                flat = parse_flat(h)
             except Exception:  # noqa: BLE001
                 continue
             kind = flat["kind"]
@@ -190,7 +198,7 @@ class PageMetaBatch:
             row = {"title": "", "lang": "", "charset": "", "viewport": "",
                    "description": "", "canonical": "", "n_meta": 0}
             try:
-                flat = flatten(parse(h or b"").document, with_attrs=True)
+                flat = parse_flat(h)
                 kind = flat["kind"]
                 tag = flat["tag"]
                 depth = flat["depth"]
@@ -273,7 +281,7 @@ class TableCellsBatch:
         for url, h in zip(batch["url"].to_pylist(),
                           batch["html"].to_pylist()):
             try:
-                flat = flatten(parse(h or b"").document, with_attrs=True)
+                flat = parse_flat(h)
             except Exception:  # noqa: BLE001
                 continue
             kind = flat["kind"]
@@ -348,7 +356,7 @@ class FormsBatch:
         for url, h in zip(batch["url"].to_pylist(),
                           batch["html"].to_pylist()):
             try:
-                flat = flatten(parse(h or b"").document, with_attrs=True)
+                flat = parse_flat(h)
             except Exception:  # noqa: BLE001
                 continue
             kind = flat["kind"]

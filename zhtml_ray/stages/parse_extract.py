@@ -1,9 +1,10 @@
 """The core Ray Data stage: per-document parse + extract as a batch UDF.
 
-Actor-pool pattern (SURVEY.md §2.3): module import cost (entity table,
-compiled regexes — the state the reference rebuilds per tokenizer
-instance, /root/reference/src/tokenizer.zig:135,147) is paid once per
-worker process; per-batch work is Arrow in / Arrow out. The parse itself
+Stateless tasks: ``extract_pages`` maps a ``ParseExtractBatch``
+instance as a plain task-pool ``map_batches`` (no actors). Module import
+cost (entity table, compiled regexes — the state the reference rebuilds
+per tokenizer instance) is still paid once per worker process, since Ray
+reuses workers; per-batch work is Arrow in / Arrow out. The parse itself
 is irreducibly sequential per document (one state machine per row,
 /root/reference/src/tokenizer.zig:2302-2323) but vectorized at the batch
 boundary.
