@@ -64,16 +64,19 @@ def test_empty_and_hostile_inputs():
 
 def test_error_codes_present():
     out = extract_document("<p>x<3</p>")
-    assert "invalid-first-character-of-tag-name" in out["error_codes"]
+    assert "invalid-first-character-of-tag-name" in [
+        e["code"] for e in out["errors"]]
 
 
 def test_errors_struct_line_col():
-    """SURVEY §1.3: errors carry 1-based (line, col); codes mirror
-    error_codes. The '<3' error is recorded with the cursor on '3'
-    (line 3, col 6 — tokenizer pos after consuming '<')."""
-    out = extract_document("<p>a</p>\n<p>b</p>\n<p>x<3</p>")
+    """SURVEY §1.3: errors carry 1-based (line, col); codes mirror the
+    parser's error list in order. The '<3' error is recorded with the
+    cursor on '3' (line 3, col 6 — tokenizer pos after consuming '<')."""
+    from zhtml_ray.html.treebuilder import parse
+    src = "<p>a</p>\n<p>b</p>\n<p>x<3</p>"
+    out = extract_document(src)
     errs = out["errors"]
-    assert [e["code"] for e in errs] == out["error_codes"]
+    assert [e["code"] for e in errs] == [c for c, _ in parse(src).errors]
     bad = [e for e in errs
            if e["code"] == "invalid-first-character-of-tag-name"]
     assert bad and bad[0]["line"] == 3 and bad[0]["col"] == 6
@@ -171,15 +174,17 @@ def test_classify_link_density_boundary_pinned():
 
 
 def test_extract_leaves_no_cyclic_garbage():
-    """Every parsed tree is freed by refcount: once extract_document has
-    read it, no reference cycle is left (builder and tokenizer dispatch
-    through per-class tables; the tree is detached). With collection
-    off, a sweep over the tree corpus, the golden pages and hostile
-    shapes (index lane, foster parenting, adoption agency, foreign
-    content, template, frameset) must leave nothing for gc.collect()."""
+    """Every parsed tree is freed by refcount: once extract_document (or
+    the flat path, node_table.parse_flat) has read it, no reference
+    cycle is left (builder and tokenizer dispatch through per-class
+    tables; the tree is detached). With collection off, a sweep over the
+    tree corpus, the golden pages and hostile shapes (index lane, foster
+    parenting, adoption agency, foreign content, template, frameset)
+    must leave nothing for gc.collect()."""
     import gc
     from tests.test_tree_corpus import _CASES
     from zhtml_ray.sources.pages import gen_pages_table
+    from zhtml_ray.stages.node_table import parse_flat
 
     n = 600
     hostile = [
@@ -202,10 +207,10 @@ def test_extract_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for include_nodes in (False, True):
+        for kernel in (extract_document, parse_flat):
             for d in docs:
-                extract_document(d, include_nodes=include_nodes)
-            assert gc.collect() == 0, f"include_nodes={include_nodes}"
+                kernel(d)
+            assert gc.collect() == 0, kernel.__name__
     finally:
         if was_enabled:
             gc.enable()

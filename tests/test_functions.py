@@ -1299,8 +1299,7 @@ def test_phash_neardup_hamming_radius(ray_session):
     got = sorted((r["key_a"], r["key_b"], r["hamming"])
                  for r in phash_neardup(
                      rd.from_arrow(tbl).repartition(3),
-                     max_hamming=3, decode=decode,
-                     concurrency=2).take_all())
+                     max_hamming=3, decode=decode).take_all())
     assert got == want
 
 

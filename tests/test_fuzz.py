@@ -44,7 +44,7 @@ def test_extraction_deterministic(s):
     b = extract_document(s)
     assert a["extracted_text"] == b["extracted_text"]
     assert a["spans"] == b["spans"]
-    assert a["error_codes"] == b["error_codes"]
+    assert a["errors"] == b["errors"]
 
 
 @settings(max_examples=100, deadline=None)

@@ -147,8 +147,8 @@ def test_phash_neardup_real_codecs(ray_session):
     n = 90
     tbl = gen_real_media_table(n, dup_every=4)
     pairs = phash_neardup(rd.from_arrow(tbl).repartition(4),
-                          max_hamming=0, decode=real_decode_image,
-                          concurrency=2).take_all()
+                          max_hamming=0,
+                          decode=real_decode_image).take_all()
     got = {(min(r["key_a"], r["key_b"]), max(r["key_a"], r["key_b"]))
            for r in pairs}
     # every planted PNG/BMP twin (ids i and n+i) must pair

@@ -40,12 +40,10 @@ def test_phash_neardup_sf01_scale_e2e(ray_session):
 
     n = 9000
     tbl = gen_media_table(n, dup_every=25)
-    # concurrency 2 < the 4-cpu test session: an actor pool equal to
-    # the whole session's CPUs starves the downstream stages (hang)
     got = sorted((r["key_a"], r["key_b"], r["hamming"])
                  for r in phash_neardup(
                      rd.from_arrow(tbl).repartition(8),
-                     max_hamming=3, concurrency=2).take_all())
+                     max_hamming=3).take_all())
 
     # independent serial ground truth over every image row
     img = tbl.filter(pa.compute.equal(tbl["kind"], "image"))
@@ -114,7 +112,7 @@ def test_frame_sample_then_phash_chain(ray_session):
     ftbl = pa.table(rows, schema=MEDIA_SCHEMA)
 
     pairs = phash_neardup(rd.from_arrow(ftbl).repartition(4),
-                          max_hamming=0, concurrency=2).take_all()
+                          max_hamming=0).take_all()
     got = {(min(r["key_a"], r["key_b"]), max(r["key_a"], r["key_b"]))
            for r in pairs}
     want = {(a, b) for a, b in itertools.combinations(sorted(key), 2)

@@ -288,3 +288,62 @@ def test_session10_pure_map_ops_never_shuffle(ray_session):
         for marker in ("Sort", "Shuffle", "Aggregate("):
             assert marker not in st, \
                 f"{q.__name__}: unexpected {marker} in plan:\n{st}"
+
+
+def _map_operators(monkeypatch) -> list:
+    """``(name, runs on an actor pool)`` of every map operator of every
+    Ray Data execution started after the call."""
+    from ray.data._internal.execution.operators.actor_pool_map_operator \
+        import ActorPoolMapOperator
+    from ray.data._internal.execution.operators.map_operator import \
+        MapOperator
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    seen = []
+    execute = StreamingExecutor.execute
+
+    def recorded(self, dag, *args, **kwargs):
+        ops = [dag]
+        while ops:
+            op = ops.pop()
+            if isinstance(op, MapOperator):
+                seen.append((op.name, isinstance(op, ActorPoolMapOperator)))
+            ops.extend(op.input_dependencies)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recorded)
+    return seen
+
+
+def _run_query(name: str) -> None:
+    import ray.data as rd
+    from zhtml_ray.pipelines.queries import queries
+
+    out = queries()[name]("/root/testdata/sf0.001")
+    if isinstance(out, rd.Dataset):
+        out.materialize()
+
+
+@pytest.mark.parametrize("name", [
+    "quality_score", "lang_id", "simhash", "nearest_centroid",
+    "quality_classifier", "robots_filter", "embedding_neardup",
+    "pdf_extract", "media_phash_dup", "audio_features", "brand_revenue",
+    "q19_disjunctive_revenue"])
+def test_stateless_stages_run_as_tasks(ray_session, monkeypatch, name):
+    """A map stage with no per-process state runs on Ray Data's task
+    pool (stages/util.py): an actor pool would pay seconds of start-up
+    for sub-second work. Each executed plan of these registry entries
+    has map operators, and none of them is an actor pool."""
+    seen = _map_operators(monkeypatch)
+    _run_query(name)
+    assert seen and not [op for op, pool in seen if pool], seen
+
+
+def test_model_stage_keeps_its_actor_pool(ray_session, monkeypatch):
+    """``score_embeddings`` loads its model once per actor
+    (functions/inference.py), so it stays the one actor-pool stage."""
+    seen = _map_operators(monkeypatch)
+    _run_query("mlp_classifier")
+    assert [op for op, pool in seen if pool] and all(
+        "ModelScoreStage" in op for op, pool in seen if pool), seen

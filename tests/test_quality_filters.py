@@ -439,7 +439,6 @@ def test_scalar_aggregates_zero_shuffle_plan(ray_session):
     # cheap proxy — run the full callables and assert no Sort appears
     # in any dataset executed during them by checking the final stats
     # of a re-built partial pipeline
-    from zhtml_ray.stages.util import autoscale_pool  # noqa: F401
     import pyarrow as pa  # noqa: F401
     # q19's map stage:
     out = q.q19_disjunctive_revenue(sf)

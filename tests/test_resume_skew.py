@@ -178,17 +178,6 @@ def test_skew_routing_matches_unrouted(ray_session, tmp_path):
     assert len(a) == 102
 
 
-def test_spread_giants_preserves_rows(ray_session, tmp_path):
-    import ray.data as rd
-    from zhtml_ray.sources.pages import write_pages_dataset
-    from zhtml_ray.stages.skew import spread_giants
-    out = str(tmp_path / "pages")
-    write_pages_dataset(out, 100, rows_per_file=100)
-    ds = spread_giants(rd.read_parquet(out, columns=["url"]),
-                       buckets=8).materialize()
-    assert ds.count() == 100 and ds.num_blocks() == 8
-
-
 def test_job_cli_resume_flow(shards, ray_session, tmp_path, capsys):
     """The `python -m zhtml_ray.job` CLI: fresh run → complete; rerun
     without --resume → refused; with --resume → no-op completion. Run
@@ -272,7 +261,7 @@ def test_error_histogram_from_manifests(shards, tmp_path):
     for shard in shards[:2]:
         t = pq.read_table(shard, columns=["html"])
         for h in t["html"].to_pylist():
-            want.update(extract_document(h or b"")["error_codes"])
+            want.update(e["code"] for e in extract_document(h or b"")["errors"])
     assert got == dict(sorted(want.items()))
     assert sum(got.values()) > 0
 
@@ -328,8 +317,8 @@ def test_error_counts_on_hostile_shard(ray_session, tmp_path):
     want = Counter(e["code"] for row in written for e in row)
     assert m["error_counts"] == dict(want)
     assert len(want) >= 5 and sum(want.values()) > 100
-    reparse = Counter(c for _, h in docs
-                      for c in extract_document(h)["error_codes"])
+    reparse = Counter(e["code"] for _, h in docs
+                      for e in extract_document(h)["errors"])
     assert m["error_counts"] == {c: 2 * n for c, n in reparse.items()}
 
 

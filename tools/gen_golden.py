@@ -30,7 +30,7 @@ def golden_table(n_rows: int, seed: int = 42) -> pa.Table:
         texts.append(out["extracted_text"])
         spans.append(out["spans"])
         quirks.append(out["quirks"])
-        errs.append(out["error_codes"])
+        errs.append([e["code"] for e in out["errors"]])
     return pa.table({
         "url": pa.array(urls, pa.string()),
         "extracted_text": pa.array(texts, pa.large_string()),

@@ -449,7 +449,6 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, key: str = "doc_id",
       (VERDICT r2 #1)."""
     import pyarrow.compute as pc
     import ray
-    from zhtml_ray.stages.util import autoscale_pool
 
     pairs = dedup_candidate_pairs(pairs_ds)
     n_pairs = pairs.count()
@@ -553,34 +552,27 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, key: str = "doc_id",
             sorted_lookup_join(pairs, docs_a, "key_a", ["_text_a"]))
         joined = sorted_lookup_join(j1, docs_b, "key_b", ["_text_b"])
 
-        class VerifyJoined:
-            def __init__(self):
-                # bounded per-actor shingle memo keyed by doc key: hub
-                # keys repeat across their star pairs within a batch
-                self._sh: dict = {}
+        def verify_joined(batch: pa.Table) -> pa.Table:
+            # per-batch shingle memo keyed by doc key: hub keys repeat
+            # across their star pairs within a batch
+            memo: dict = {}
 
-            def _set(self, k, text):
-                s = self._sh.get(k)
+            def sset(k, text):
+                s = memo.get(k)
                 if s is None:
-                    if len(self._sh) > 65536:
-                        self._sh.clear()
                     s = np.unique(_shingles(text or "", shingle_k))
-                    self._sh[k] = s
+                    memo[k] = s
                 return s
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                sims = [
-                    _jaccard_sorted(self._set(a, ta), self._set(b, tb))
+            sims = [_jaccard_sorted(sset(a, ta), sset(b, tb))
                     for a, b, ta, tb in zip(batch["key_a"].to_pylist(),
                                             batch["key_b"].to_pylist(),
                                             batch["_text_a"].to_pylist(),
                                             batch["_text_b"].to_pylist())]
-                return (batch.drop_columns(["_text_a", "_text_b"])
-                        .append_column("jaccard",
-                                       pa.array(sims, pa.float64())))
+            return (batch.drop_columns(["_text_a", "_text_b"])
+                    .append_column("jaccard", pa.array(sims, pa.float64())))
 
-        out = joined.map_batches(VerifyJoined, batch_format="pyarrow",
-                                 concurrency=autoscale_pool(0.5))
+        out = joined.map_batches(verify_joined, batch_format="pyarrow")
 
     def thresh(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater_equal(batch["jaccard"], threshold))
@@ -1009,7 +1001,6 @@ def embedding_neardup(ds, key: str = "vec_id", col: str = "embedding",
     per-group-Python concern on this path."""
     import ray.data as rd
     from zhtml_ray.stages.sortagg import sorted_bucket_apply
-    from zhtml_ray.stages.util import autoscale_pool
 
     if dim is None:
         first = ds.take(1)[0]
@@ -1023,9 +1014,8 @@ def embedding_neardup(ds, key: str = "vec_id", col: str = "embedding",
     })
 
     bucketed = ds.map_batches(
-        HyperplaneLsh, fn_constructor_kwargs=dict(dim=dim, n_planes=n_planes,
-                                                  seed=seed, col=col),
-        batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+        HyperplaneLsh(dim=dim, n_planes=n_planes, seed=seed, col=col),
+        batch_format="pyarrow")
 
     def pairs(b, starts, ends):
         return _cosine_pairs_np(b[key].combine_chunks(),

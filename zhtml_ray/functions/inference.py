@@ -14,6 +14,12 @@ user-plugged real model) follows it:
     actor reads shared-memory, zero per-task reshipping — the
     broadcast pattern), or an ``.npz`` path on shared storage (the
     real-cluster form: checkpoints don't travel through the driver).
+    This is the only actor-pool stage in the repo: every other map
+    stage holds no per-process state and runs as Ray tasks
+    (``stages/util``). A model load is real work per process — an
+    ``.npz`` read from shared storage, and on a GPU the upload of the
+    weights to device memory — that a task would repeat per batch; an
+    actor pays it once.
   * **Chunked vectorized forward.** Batches decode zero-copy via
     ``similarity._emb_matrix`` and run a float64 matmul in
     ``chunk_rows`` slices, so peak memory is ``chunk_rows × width``
@@ -139,11 +145,14 @@ def score_embeddings(ds, model, in_col: str = "embedding",
     layer list, a ``ray.put`` ObjectRef (preferred for in-memory
     weights — broadcast once), or an ``.npz`` path. ``num_gpus > 0``
     reserves GPUs per actor — the only change a real GPU model
-    needs at the orchestration layer."""
-    from zhtml_ray.stages.util import autoscale_pool
+    needs at the orchestration layer. ``concurrency`` defaults to an
+    autoscaling pool of 1 to half the cluster's CPUs (at least 2), so
+    the model stage leaves CPUs to the stages around it."""
+    from zhtml_ray.stages.util import cluster_cpus
 
     kwargs = dict(batch_format="pyarrow", num_cpus=num_cpus,
-                  concurrency=concurrency or autoscale_pool(0.5))
+                  concurrency=concurrency
+                  or (1, max(2, cluster_cpus() // 2)))
     if num_gpus:
         kwargs["num_gpus"] = num_gpus
     return ds.map_batches(

@@ -7,7 +7,9 @@ functions/mediacodec.py (pure stdlib zlib/wave + numpy —
 Codec-library formats (JPEG, MP3, MP4 video) remain behind the
 injectable ``decode=`` hook with the deterministic fake as the
 in-container stand-in; swapping in PIL/torchvision/ffmpeg is a
-one-line ``fn_constructor_kwargs`` change on a real cluster.
+one-line ``decode=`` change (``ImageFeatures(decode=...)``,
+``phash_neardup(ds, decode=...)``) on a real cluster. The stages are
+callable instances run as stateless Ray tasks (``stages/util``).
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def real_decode_audio(payload: bytes, duration_ms: int,
 
 
 class ImageFeatures:
-    """Actor-pool stage: decode → resize (nearest-neighbor, numpy) →
+    """Batch stage: decode → resize (nearest-neighbor, numpy) →
     channel-mean features. Small batch_size is the point: payloads are
     large, so batch bytes — not row count — budget the batch
     (use batch_size≈16-64 for multi-MB media)."""
@@ -262,7 +264,7 @@ def _fake_decode_audio(payload: bytes, duration_ms: int,
 
 
 class AudioFeatures:
-    """Actor-pool stage: decode → framed RMS energy + zero-crossing rate
+    """Batch stage: decode → framed RMS energy + zero-crossing rate
     (25 ms frames, 10 ms hop — the standard ASR front-end framing).
     Vectorized numpy over the PCM; the decode is the stubbed kernel."""
 
@@ -368,7 +370,7 @@ def dhash64(img: np.ndarray) -> int:
 
 
 class PHashBatch:
-    """Actor-pool stage: decode → dHash64 per image row. Emits
+    """Batch stage: decode → dHash64 per image row. Emits
     (media_id, phash) with phash as the int64 BITCAST of the uint64
     hash (Arrow/DuckDB-native; xor/bit_count see the same bits).
     Decode failures emit decoded=False with phash 0."""
@@ -409,7 +411,7 @@ def _hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def phash_neardup(ds, max_hamming: int = 3, decode=None,
-                  concurrency=None, clique_limit: int = 4096):
+                  clique_limit: int = 4096):
     """Perceptual-hash image near-duplicate pairs: dHash per image →
     4×16-bit band blocking (pigeonhole: ≤3 differing bits across 4
     bands leave ≥1 band EXACT, so band recall is total for the
@@ -430,16 +432,12 @@ def phash_neardup(ds, max_hamming: int = 3, decode=None,
                                            dedup_candidate_pairs)
     from zhtml_ray.stages.sortagg import (sorted_bucket_apply,
                                           sorted_lookup_join)
-    from zhtml_ray.stages.util import autoscale_pool
 
     assert max_hamming <= 3, \
         "4 bands of 16 bits guarantee recall only to hamming 3; " \
         "raise the band count for a wider radius"
-    ph = ds.map_batches(PHashBatch,
-                        fn_constructor_kwargs=dict(decode=decode),
-                        batch_format="pyarrow", batch_size=32,
-                        concurrency=concurrency
-                        or autoscale_pool(0.5))
+    ph = ds.map_batches(PHashBatch(decode=decode), batch_format="pyarrow",
+                        batch_size=32)
 
     def decoded_only(b: pa.Table) -> pa.Table:
         # a real decoder FAILS on corrupt payloads; those rows carry

@@ -275,7 +275,7 @@ def extract_pdf(raw: bytes, line_tol: float = 2.0) -> dict:
 # ------------------------------------------------------------ Ray stage
 
 class PdfExtractBatch:
-    """Actor-pool batch UDF: (doc_id, pdf: binary) → (doc_id, text,
+    """Batch UDF: (doc_id, pdf: binary) → (doc_id, text,
     n_pages, n_runs, ok, fail_reason). Per-row failure isolation — a
     hostile/unsupported PDF yields ok=False, never an exception."""
 

@@ -1,7 +1,8 @@
 """Text analysis operators: token counting, quality scoring, language
 identification, document fingerprinting. Vectorized per batch
-(pyarrow.compute / numpy); per-actor compiled state where regexes are
-involved.
+(pyarrow.compute / numpy). The stages are callable classes with a
+cheap ``__init__``: pipelines pass an instance to ``map_batches``, which
+runs it as stateless Ray tasks.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def token_count_batch(batch: pa.Table, col: str = "text") -> pa.Table:
 
 
 class BpeTokenCount:
-    """BPE-ish token counting (regex pre-tokenizer) — actor-pool stage,
-    regex compiled once per actor."""
+    """BPE-ish token counting (regex pre-tokenizer); the regex is the
+    module-level ``_BPE_RE``."""
 
     def __init__(self, col: str = "text"):
         self.col = col

@@ -21,12 +21,6 @@ NS_HTML = 0
 NS_MATHML = 1
 NS_SVG = 2
 
-NS_URIS = {
-    NS_HTML: "http://www.w3.org/1999/xhtml",
-    NS_MATHML: "http://www.w3.org/1998/Math/MathML",
-    NS_SVG: "http://www.w3.org/2000/svg",
-}
-
 QUIRKS_NO = 0
 QUIRKS_LIMITED = 1
 QUIRKS_YES = 2

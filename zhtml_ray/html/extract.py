@@ -25,7 +25,7 @@ change here invalidates golden files, regenerate via tests/gen_golden.py):
 
 from __future__ import annotations
 
-from zhtml_ray.html.dom import ELEMENT, NS_HTML, TEXT, detach, flatten_detached
+from zhtml_ray.html.dom import ELEMENT, NS_HTML, TEXT, detach
 from zhtml_ray.html.treebuilder import parse
 
 _SKIP = frozenset((
@@ -280,28 +280,20 @@ def _segment_tree(doc) -> tuple[list[dict], int]:
     return out, idx
 
 
-def extract_document(raw, include_nodes: bool = False,
+def extract_document(raw,
                      thresholds: ExtractThresholds | None = None) -> dict:
-    """Full per-document kernel: tokenize → tree → flatten → extract.
+    """Full per-document kernel: tokenize → tree → segment → extract.
     Returns the output-row dict for the (url, extracted_text, spans, ...)
     table of SURVEY.md §1.3."""
-    th = thresholds or _DEFAULT_THRESHOLDS
     result = parse(raw)
     doc = result.document
-    if include_nodes:
-        flat = flatten_detached(doc)
-        out = extract_from_flat(flat, th)
-        out["n_nodes"] = len(flat["parent"])
-        out["nodes"] = flat
-    else:
-        blocks, n_nodes = _segment_tree(doc)
-        detach(doc)
-        _classify(blocks, th)
-        out = _assemble(blocks)
-        out["n_nodes"] = n_nodes
+    blocks, n_nodes = _segment_tree(doc)
+    detach(doc)
+    _classify(blocks, thresholds or _DEFAULT_THRESHOLDS)
+    out = _assemble(blocks)
+    out["n_nodes"] = n_nodes
     out["quirks"] = doc.quirks
     out["doctype_name"] = doc.doctype_name or ""
-    out["error_codes"] = [c for c, _ in result.errors]
     # SURVEY §1.3 errors column: (code, line, col) structs, 1-based;
     # line/col resolution is lazy inside the tokenizer (newline index is
     # built only for errored documents)

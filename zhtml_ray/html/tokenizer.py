@@ -59,7 +59,6 @@ _CHARREF_REMAP = {
 _WS = "\t\n\f "  # ASCII whitespace inside tags (CR normalized away)
 
 # fast-path scanners (module-level: compiled once per worker)
-_RE_DATA = re.compile(r"[&<\x00]")
 _RE_RCDATA = re.compile(r"[&<\x00]")
 _RE_RAWTEXT = re.compile(r"[<\x00]")
 
@@ -127,18 +126,6 @@ _RE_LT_RUN_BUTLAST = re.compile(r"<+(?=<)")
 _RE_AMP_RUN_BUTLAST = re.compile(r"&+(?=&)")
 _RE_NUL_RUN = re.compile(r"\x00+")
 _RE_DOCTYPE_NAME = re.compile(r"[^\t\n\f >]*")
-
-# Fused fast path: one regex per whole "simple" tag (ASCII-alnum name,
-# well-formed attrs, no charrefs / NULs / error-triggering characters).
-# Anything it can't match falls back to the spec state machine with zero
-# side effects — semantics are identical, only dispatch overhead is saved.
-_RE_FAST_START = re.compile(
-    r"<([a-zA-Z][a-zA-Z0-9]*)"                       # tag name
-    r"((?:[\t\n\f ]+[^\t\n\f /=>\x00\"'<]+"          # ws + attr name
-    r"(?:=(?:\"[^\"&\x00]*\"|'[^'&\x00]*'"           # quoted value
-    r"|[^\t\n\f >&\x00\"'<=`]+))?)*)"                # unquoted (≥1) / none
-    r"[\t\n\f ]*(/?)>")
-_RE_FAST_END = re.compile(r"</([a-zA-Z][a-zA-Z0-9]*)[\t\n\f ]*>")
 
 # Start tags after which the tree builder may flip the tokenizer state
 # (RCDATA / RAWTEXT / script data / PLAINTEXT elements) — the batched

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from zhtml_ray.stages.util import autoscale_pool
+from zhtml_ray.stages.util import stateless_stage
 
 
 def _docs(sf_dir, columns=None):
@@ -127,7 +127,7 @@ FROM r
 def q_quality(sf_dir: str):
     from zhtml_ray.functions.textstats import QualityScore
     ds = _docs(sf_dir, ["doc_id", "text", "lang"])
-    out = ds.map_batches(QualityScore, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(QualityScore(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "n_words", "quality_score",
                                "stopword_ratio", "punct_ratio"])
 
@@ -141,8 +141,7 @@ def q_gopher_rules(sf_dir: str):
     bit-exact — no float pins needed. Pure map, zero shuffles."""
     from zhtml_ray.functions.textstats import GopherStats
     ds = _docs(sf_dir, ["doc_id", "text"])
-    out = ds.map_batches(GopherStats, batch_format="pyarrow",
-                         concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(GopherStats(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "n_words", "n_chars",
                                "stop_hits", "n_bigrams", "dup_bigrams",
                                "top_word_mass", "keep"])
@@ -1114,7 +1113,7 @@ FROM h
 def q_langid(sf_dir: str):
     from zhtml_ray.functions.textstats import LangId
     ds = _docs(sf_dir, ["doc_id", "text", "lang"])
-    out = ds.map_batches(LangId, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(LangId(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "lang", "lang_pred", "lang_conf"])
 
 
@@ -1123,14 +1122,14 @@ def q_fingerprint(sf_dir: str):
     from zhtml_ray.pipelines.golden import ensure_golden
     ds = _docs(sf_dir, ["doc_id", "text"])
     ensure_golden("fingerprint", sf_dir)
-    out = ds.map_batches(Fingerprint, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(Fingerprint(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "fingerprint", "content_hash"])
 
 
 def q_bpe_token_count(sf_dir: str):
     from zhtml_ray.functions.textstats import BpeTokenCount
     ds = _docs(sf_dir, ["doc_id", "text"])
-    out = ds.map_batches(BpeTokenCount, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(BpeTokenCount(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "n_bpe_tokens"])
 
 
@@ -2198,11 +2197,6 @@ FROM cb GROUP BY doc_id, chunk_id
 _WARC_ROOT = "/tmp/zhtml_ray_warcfix"
 
 
-def _warc_current_dir() -> str:
-    import os
-    return f"{_WARC_ROOT}/current_{os.getpid()}"
-
-
 def _write_warc_shards(d: str, sf_dir: str) -> None:
     """4 gzipped WARC shards built from the documents table with the
     engine's own serializer (url/date/body derived from doc_id by a
@@ -3234,9 +3228,8 @@ def q_nearest_centroid(sf_dir: str):
                                   pa.float64()),
                 "is_own": pa.array(assigned == own)})
 
-    return _emb(sf_dir).map_batches(
-        Assign, batch_format="pyarrow",
-        concurrency=autoscale_pool(0.5))
+    return _emb(sf_dir).map_batches(stateless_stage(Assign),
+                                    batch_format="pyarrow")
 
 
 def _sql_nearest_centroid(dim: int = 64) -> str:
@@ -5132,7 +5125,7 @@ def q_simhash(sf_dir: str):
     from zhtml_ray.pipelines.golden import ensure_golden
     ds = _docs(sf_dir, ["doc_id", "text"])
     ensure_golden("simhash", sf_dir)
-    out = ds.map_batches(SimHashBatch, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(SimHashBatch(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "simhash", "simhash_b0"])
 
 
@@ -5722,7 +5715,7 @@ def q_pdf_extract(sf_dir: str):
     """PDF text + layout extraction (north rule: "PDF/layout parse"):
     deterministic synthetic PDFs (functions/pdf.py fixture; the
     generating text is the oracle, asserted in tests/test_pdf.py) →
-    actor-pool map_batches → (doc_id, text, n_pages). Rows-only for the
+    stateless map_batches tasks → (doc_id, text, n_pages). Rows-only for the
     driver — PDF parsing is not SQL-expressible."""
     import ray.data as rd
     from zhtml_ray.functions.pdf import PdfExtractBatch, gen_pdf_table
@@ -5730,8 +5723,8 @@ def q_pdf_extract(sf_dir: str):
     ensure_golden("pdf_extract", sf_dir)
     tbl = gen_pdf_table(_media_rows_for(sf_dir))
     ds = rd.from_arrow(tbl.select(["doc_id", "pdf"]))
-    out = ds.map_batches(PdfExtractBatch, batch_format="pyarrow",
-                         batch_size=64, concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(PdfExtractBatch(), batch_format="pyarrow",
+                         batch_size=64)
     return out.select_columns(["doc_id", "text", "n_pages"])
 
 
@@ -5753,14 +5746,15 @@ def q_media_features(sf_dir: str):
     # explicit contract: one feature row per IMAGE row (filter_kind doc)
     ds = rd.from_arrow(tbl).map_batches(
         lambda b: filter_kind(b, "image"), batch_format="pyarrow")
-    out = ds.map_batches(ImageFeatures, batch_format="pyarrow",
-                         batch_size=32, concurrency=autoscale_pool(0.5))
+    out = ds.map_batches(ImageFeatures(), batch_format="pyarrow",
+                         batch_size=32)
     return out.map_batches(media_feature_project, batch_format="pyarrow")
 
 
 def q_audio_features(sf_dir: str):
     """Audio feature extraction (framed RMS/ZCR over stub-decoded PCM)
-    — actor-pool map_batches with byte-budgeted batches."""
+    — stateless map_batches tasks; 32-row batches keep the decoded PCM
+    of one batch small."""
     import ray.data as rd
     from zhtml_ray.functions.multimodal import AudioFeatures, gen_media_table
     from zhtml_ray.pipelines.golden import ensure_golden
@@ -5770,8 +5764,8 @@ def q_audio_features(sf_dir: str):
     # explicit contract: one feature row per AUDIO row (filter_kind doc)
     ds = rd.from_arrow(tbl).map_batches(
         lambda b: filter_kind(b, "audio"), batch_format="pyarrow")
-    return ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                          batch_size=32, concurrency=autoscale_pool(0.5))
+    return ds.map_batches(AudioFeatures(), batch_format="pyarrow",
+                          batch_size=32)
 
 
 def q_frame_sample(sf_dir: str):
@@ -6661,8 +6655,8 @@ def q_quality_classifier(sf_dir: str, threshold: float = 0.0):
                 "logit_r": pa.array(logit, pa.float64()),
                 "keep": pa.array(logit > threshold)})
 
-    return _emb(sf_dir).map_batches(Score, batch_format="pyarrow",
-                                    concurrency=autoscale_pool(0.5))
+    return _emb(sf_dir).map_batches(stateless_stage(Score),
+                                    batch_format="pyarrow")
 
 
 def _sql_quality_classifier(threshold: float = 0.0) -> str:
@@ -6713,8 +6707,7 @@ def q_mlp_classifier(sf_dir: str, threshold: float = 0.0):
     w1, b1, w2, b2 = _mlp_weights()
     ref = ray.put([(w1, b1), (w2, b2)])
     return score_embeddings(_emb(sf_dir), ref, out_col="logit_r",
-                            threshold=threshold,
-                            concurrency=autoscale_pool(0.5))
+                            threshold=threshold)
 
 
 def _sql_mlp_classifier(threshold: float = 0.0) -> str:
@@ -7035,7 +7028,7 @@ def q_url_blocklist(sf_dir: str):
                              "blocked": pa.array(blocked)})
 
     return _docs(sf_dir, ["doc_id"]).map_batches(
-        Block, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+        stateless_stage(Block), batch_format="pyarrow")
 
 
 def _sql_url_blocklist() -> str:
@@ -7151,7 +7144,7 @@ def q_robots_filter(sf_dir: str):
                                          pa.string())})
 
     return _docs(sf_dir, ["doc_id"]).map_batches(
-        Robots, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+        stateless_stage(Robots), batch_format="pyarrow")
 
 
 def _sql_robots_filter() -> str:
@@ -7225,7 +7218,7 @@ def q_range_lookup(sf_dir: str):
                                mask=~ok))})
 
     return _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
-        Lookup, batch_format="pyarrow", concurrency=autoscale_pool(0.5))
+        stateless_stage(Lookup), batch_format="pyarrow")
 
 
 def _sql_range_lookup() -> str:

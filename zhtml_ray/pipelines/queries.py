@@ -326,9 +326,9 @@ def q_brand_revenue(sf_dir: str):
             return t.group_by("p_brand").aggregate([("rev", "sum")]) \
                     .rename_columns(["p_brand", "p_rev"])
 
-    from zhtml_ray.stages.util import autoscale_pool
-    partials = ds.map_batches(Partial, batch_format="pyarrow",
-                              concurrency=autoscale_pool(0.5))
+    from zhtml_ray.stages.util import stateless_stage
+    partials = ds.map_batches(stateless_stage(Partial),
+                              batch_format="pyarrow")
     agg = partials.groupby("p_brand").aggregate(
         Sum("p_rev", alias_name="revenue"))
     pdf = agg.to_pandas()
@@ -755,7 +755,7 @@ def q14_promo_revenue(sf_dir: str, lo: str = "1996-01-01",
     """TPC-H Q14 shape (promotion revenue share in a date window):
     broadcast the part dimension once as a sorted partkey → is-promo
     bitmap (the q_brand_revenue small-side pattern — one int64 array +
-    one bool array via ``ray.put``, read zero-copy per actor), then a
+    one bool array via ``ray.put``, read zero-copy per worker), then a
     single pure-map pass over date-filtered lineitem emitting one
     2-float partial row per batch; the global reduce is
     ``Dataset.aggregate`` over ≤ #blocks tiny rows. Zero shuffles.
@@ -771,7 +771,7 @@ def q14_promo_revenue(sf_dir: str, lo: str = "1996-01-01",
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from zhtml_ray.stages.util import autoscale_pool
+    from zhtml_ray.stages.util import stateless_stage
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_type"])
@@ -807,8 +807,8 @@ def q14_promo_revenue(sf_dir: str, lo: str = "1996-01-01",
                 "p": pa.array([int(rev[is_promo].sum())], pa.int64()),
                 "t": pa.array([int(rev.sum())], pa.int64())})
 
-    parts = ds.map_batches(Partial, batch_format="pyarrow",
-                           concurrency=autoscale_pool(0.5))
+    parts = ds.map_batches(stateless_stage(Partial),
+                           batch_format="pyarrow")
     got = parts.aggregate(Sum("p", alias_name="p"),
                           Sum("t", alias_name="t"))
     import math
@@ -1922,7 +1922,7 @@ def q19_disjunctive_revenue(sf_dir: str, terms=None):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from zhtml_ray.stages.util import autoscale_pool
+    from zhtml_ray.stages.util import stateless_stage
 
     if terms is None:
         terms = (("Brand#1", 1, 15, 1.0, 20.0),
@@ -1966,8 +1966,8 @@ def q19_disjunctive_revenue(sf_dir: str, terms=None):
             return pa.table({"rev": pa.array(
                 [int(pc.sum(rev).as_py() or 0)], pa.int64())})
 
-    parts = ds.map_batches(Partial, batch_format="pyarrow",
-                           concurrency=autoscale_pool(0.5))
+    parts = ds.map_batches(stateless_stage(Partial),
+                           batch_format="pyarrow")
     got = parts.aggregate(Sum("rev", alias_name="rev"))
     import pandas as pd
     return pd.DataFrame({"revenue": [int(got["rev"] or 0) / 1e4]})

@@ -23,11 +23,7 @@ relies on Ray Data's own block layout:
     never rides with 63 small-row hostages (and normal blocks skip the
     slice/coalesce overhead of re-batching);
   * layout guidance: write giant docs into dedicated shards at ingest
-    (our fixture does: pages-mega.parquet) so giant blocks are pure;
-  * for *mixed* shards where giants hide among small rows,
-    ``spread_giants`` (shuffle repartition) remains the
-    explicit-shuffle fallback — pay the all-to-all only when the
-    layout is hostile.
+    (our fixture does: pages-mega.parquet) so giant blocks are pure.
 
 Job partitions (``stages/manifest``) take their read's block count
 from ``read_plan``: one unsplit block per shard file, more only when
@@ -45,8 +41,6 @@ plans differ (mega-doc shards, fewer files than 2×cpus).
 """
 
 from __future__ import annotations
-
-DEFAULT_GIANT_BYTES = 1_000_000  # ≈ P99.9 of Common-Crawl page sizes
 
 # Cap on read-output block bytes: ≥1 giant per block still parses alone;
 # a worst-case block holds ~GIANT_BLOCK_BYTES of sequential parse work
@@ -148,14 +142,3 @@ def extract_with_skew_routing(paths, columns=("url", "html", "lang"),
     ds = rd.read_parquet(paths, **kw)
     return extract_pages(ds, batch_size=None, include_spans=include_spans)
 
-
-def spread_giants(ds, buckets: int = 256):
-    """Shuffle-repartition: distributes clustered giants across blocks
-    before the parse stage. Explicit all-to-all — only for mixed shards
-    whose layout hides giants among small rows. Placement comes from
-    the keyless random shuffle: ``repartition(keys=...)`` would give
-    deterministic hash placement but requires the HASH_SHUFFLE
-    DataContext strategy (probed on this Ray version — raises under the
-    default sort-shuffle), and a prior salt column was dead work the
-    shuffle ignored (r3 review)."""
-    return ds.repartition(buckets, shuffle=True)
