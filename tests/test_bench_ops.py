@@ -31,7 +31,7 @@ def fixtures(tmp_path_factory):
 def test_table_resolves():
     import __ray_entry__
     registry = __ray_entry__.queries()
-    assert len(bench.OPS) == 77
+    assert len(bench.OPS) == 83
     assert set(bench.TRACKED) <= set(bench.OPS)
     for op_id, op in bench.OPS.items():
         kind = op_id.split(":")[0]

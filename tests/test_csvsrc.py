@@ -3,8 +3,10 @@ newline), per-row failure isolation, gzip framing, schema pinning,
 TSV dialect, and a DuckDB differential."""
 
 import gzip
+import zlib
 
 import pyarrow as pa
+import pytest
 
 from zhtml_ray.sources.csvsrc import parse_csv_bytes, read_csv_shards
 
@@ -40,6 +42,19 @@ def test_gzip_nulls_and_garbage():
     empty = parse_csv_bytes(b"", schema=SCHEMA)
     assert empty.num_rows == 0
     assert empty.schema.field("doc_id").type == pa.int64()
+
+
+def test_truncated_and_corrupt_gzip_raise():
+    """A cut or corrupt .gz shard fails the read loudly; only invalid
+    rows are skipped."""
+    gz = gzip.compress(b"doc_id,text\n" + b"".join(
+        b"%d,t\n" % i for i in range(50)))
+    with pytest.raises(EOFError):
+        parse_csv_bytes(gz[: len(gz) // 2], schema=SCHEMA)
+    corrupt = bytearray(gz)
+    corrupt[10] = 0xFF  # deflate block type 3 is invalid
+    with pytest.raises(zlib.error):
+        parse_csv_bytes(bytes(corrupt), schema=SCHEMA)
 
 
 def test_tsv_dialect():

@@ -257,7 +257,7 @@ def test_audio_features(ray_session):
 
     tbl = gen_media_table(30)
     out = rd.from_arrow(tbl).map_batches(
-        AudioFeatures, batch_format="pyarrow", batch_size=16, concurrency=2).to_pandas()
+        AudioFeatures(), batch_format="pyarrow", batch_size=16).to_pandas()
     n_audio = sum(1 for k in tbl.column("kind").to_pylist() if k == "audio")
     assert len(out) == n_audio
     assert out["decoded"].all()
@@ -265,7 +265,7 @@ def test_audio_features(ray_session):
     assert (out["rms_mean"] > 0).all()
     # determinism (stub decoder is seeded by payload)
     out2 = rd.from_arrow(tbl).map_batches(
-        AudioFeatures, batch_format="pyarrow", batch_size=7, concurrency=2).to_pandas()
+        AudioFeatures(), batch_format="pyarrow", batch_size=7).to_pandas()
     assert out.sort_values("media_id").reset_index(drop=True).equals(
         out2.sort_values("media_id").reset_index(drop=True))
 

@@ -3,8 +3,10 @@ gzip framing, schema pinning, and a DuckDB differential."""
 
 import gzip
 import json
+import zlib
 
 import pyarrow as pa
+import pytest
 
 from zhtml_ray.sources.jsonl import parse_jsonl_bytes, read_jsonl
 
@@ -40,6 +42,18 @@ def test_all_garbage_file_yields_typed_empty():
     t = parse_jsonl_bytes(b"not json at all\n%%%\n", schema=SCHEMA)
     assert t.num_rows == 0
     assert t.schema.field("doc_id").type == pa.int64()
+
+
+def test_truncated_and_corrupt_gzip_raise():
+    """A cut or corrupt .gz shard fails the read loudly; only
+    malformed lines are skipped."""
+    gz = gzip.compress(_jl([{"doc_id": i, "text": "t"} for i in range(50)]))
+    with pytest.raises(EOFError):
+        parse_jsonl_bytes(gz[: len(gz) // 2], schema=SCHEMA)
+    corrupt = bytearray(gz)
+    corrupt[10] = 0xFF  # deflate block type 3 is invalid
+    with pytest.raises(zlib.error):
+        parse_jsonl_bytes(bytes(corrupt), schema=SCHEMA)
 
 
 def test_read_jsonl_dataset_roundtrip(ray_session, tmp_path):

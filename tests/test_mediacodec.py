@@ -116,8 +116,8 @@ def test_image_audio_features_on_real_payloads(ray_session):
     tbl = pa.Table.from_pydict(d, schema=tbl.schema)
 
     feats = rd.from_arrow(tbl).map_batches(
-        ImageFeatures, fn_constructor_kwargs={"decode": real_decode_image},
-        batch_format="pyarrow", batch_size=16, concurrency=2).to_pandas()
+        ImageFeatures(decode=real_decode_image),
+        batch_format="pyarrow", batch_size=16).to_pandas()
     n_img = sum(1 for k in tbl["kind"].to_pylist() if k == "image")
     assert len(feats) == n_img
     ok = feats.set_index("media_id")["decoded"]
@@ -125,8 +125,8 @@ def test_image_audio_features_on_real_payloads(ray_session):
     assert ok.drop(bad_id).all()
 
     au = rd.from_arrow(tbl).map_batches(
-        AudioFeatures, fn_constructor_kwargs={"decode": real_decode_audio},
-        batch_format="pyarrow", batch_size=16, concurrency=2).to_pandas()
+        AudioFeatures(decode=real_decode_audio),
+        batch_format="pyarrow", batch_size=16).to_pandas()
     n_audio = sum(1 for k in tbl["kind"].to_pylist() if k == "audio")
     assert len(au) == n_audio
     assert au["decoded"].all()

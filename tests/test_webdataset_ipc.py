@@ -76,6 +76,11 @@ def test_webdataset_shuffled_members_ragged_and_corrupt(ray_session,
     assert df["cls"].tolist() == ["3", "7", None, None]
     assert bytes(df["seg.txt"][3]) == b"first-dot split"
     assert set(df["__shard__"]) == {"good.tar"}
+    # the corrupt shard's empty table has the good shard's columns
+    from zhtml_ray.sources.webdataset import parse_webdataset_bytes
+    assert parse_webdataset_bytes(bad.read_bytes(), "bad.tar",
+                                  fields=["txt", "cls"]).schema.names == [
+        "__key__", "__shard__", "txt", "cls"]
 
 
 def test_arrow_ipc_roundtrip_and_projection(ray_session, tmp_path):

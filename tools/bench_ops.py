@@ -275,6 +275,11 @@ OPS: dict[str, Op] = {
         q21_single_blame q22_idle_balance q2_min_cost_supplier
         q6_forecast_revenue gopher_rules dsir_select train_val_split
         word_dropout user_churn events_anomaly ann_topk_filtered"""),
+    # the file sources (sources/files.py): each reads shards it writes
+    # from documents.parquet on first call, so warm-up pays for them
+    **_registry("sf", """
+        jsonl_docs csv_docs warc_docs webdataset_docs arrow_ipc_docs
+        orc_docs"""),
     "docs:bm25_topk": Op(lambda p: bm25_topk(
         rd.read_parquet(p), _BM25_QUERIES, k=10)),
     "docs:mask_dup_spans": Op(lambda p: mask_dup_spans(

@@ -1362,7 +1362,7 @@ def q_corpus_mixture(sf_dir: str):
     })
 
 
-SQL_CORPUS_MIXTURE = """
+SQL_CORPUS_MIXTURE = r"""
 WITH t AS (
   SELECT doc_id, source, lang,
          len(regexp_split_to_array(trim(text), '\s+')) AS n_tokens,
@@ -4194,7 +4194,7 @@ def q_pack_sequences(sf_dir: str, window: int = 2048):
     return toks.map_batches(pack, batch_size=None, batch_format="pyarrow")
 
 
-SQL_PACK_SEQUENCES = """
+SQL_PACK_SEQUENCES = r"""
 WITH t AS (
   SELECT doc_id,
          len(regexp_split_to_array(trim(text), '\s+')) AS n_tokens

@@ -4,29 +4,19 @@ Embedding dumps and intermediate training artifacts frequently ship as
 Arrow IPC files (a.k.a. Feather V2: the streaming or random-access
 file format produced by ``pyarrow.ipc`` / polars / DuckDB ``COPY TO
 (FORMAT ARROW)``). Zero new dependencies — pyarrow reads both framings
-natively; file = parallelism unit like the other byte sources, and
-column projection happens at the READ for the random-access format
-(record-batch field selection), so a 2-column scan of a wide
-embedding dump doesn't ship the other columns.
+natively. The FILE is the parallelism unit, as for every source in
+``sources/files.py``, and column projection happens at the READ for
+the random-access format (record-batch field selection), so a 2-column
+scan of a wide embedding dump doesn't ship the other columns.
 """
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 
+from zhtml_ray.sources.files import read_files, write_files
+
 _EXTS = (".arrow", ".feather", ".ipc", ".arrows")
-
-
-def _expand(paths_or_dir) -> list[str]:
-    if isinstance(paths_or_dir, (str, os.PathLike)):
-        p = os.fspath(paths_or_dir)
-        if os.path.isdir(p):
-            return sorted(os.path.join(p, f) for f in os.listdir(p)
-                          if f.endswith(_EXTS))
-        return [p]
-    return [os.fspath(p) for p in paths_or_dir]
 
 
 def ipc_file_to_table(path: str,
@@ -49,49 +39,19 @@ def ipc_file_to_table(path: str,
 
 
 def read_arrow_ipc(paths_or_dir, columns: list[str] | None = None):
-    """Arrow IPC / Feather shards → Dataset. The FILE is the
-    parallelism unit: paths fan out as items and each task opens its
-    own file (memory-mapped — bytes never round-trip through the
-    object store twice the way a read_binary_files + parse split
-    would)."""
-    import ray.data as rd
+    """Arrow IPC / Feather shards → Dataset, one task per file; each
+    task memory-maps its own file."""
+    return read_files(paths_or_dir, _EXTS,
+                      lambda p: ipc_file_to_table(p, columns=columns))
 
-    files = _expand(paths_or_dir)
-    if not files:
-        raise ValueError("no .arrow/.feather/.ipc files found")
 
-    def load(batch: pa.Table) -> pa.Table:
-        tables = [ipc_file_to_table(p, columns=columns)
-                  for p in batch["path"].to_pylist()]
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            probe = ipc_file_to_table(files[0], columns=columns)
-            return probe.slice(0, 0)
-        return pa.concat_tables(tables, promote_options="default")
+def _write_ipc_file(table: pa.Table, path: str) -> None:
+    from pyarrow import ipc
 
-    paths = pa.table({"path": pa.array(files, pa.string())})
-    return rd.from_arrow(paths).repartition(len(files)).map_batches(
-        load, batch_format="pyarrow")
+    with pa.OSFile(path, "wb") as f, ipc.new_file(f, table.schema) as w:
+        w.write_table(table)
 
 
 def write_arrow_ipc(ds, out_dir: str) -> int:
     """Dataset → one Feather-V2 (random-access IPC) file per block."""
-    import uuid
-
-    from pyarrow import ipc
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        name = f"part-{uuid.uuid4().hex[:12]}.arrow"
-        tmp = os.path.join(out_dir, name + ".tmp")
-        with pa.OSFile(tmp, "wb") as f, \
-                ipc.new_file(f, batch.schema) as w:
-            w.write_table(batch)
-        os.replace(tmp, os.path.join(out_dir, name))
-        return pa.table({"shard": pa.array([name], pa.string()),
-                         "rows": pa.array([batch.num_rows], pa.int64())})
-
-    manifest = ds.map_batches(write_block, batch_format="pyarrow",
-                              batch_size=None).to_pandas()
-    return len(manifest)
+    return write_files(ds, out_dir, ".arrow", _write_ipc_file)

@@ -2,40 +2,31 @@
 
 Label tables, crawl manifests and legacy exports ship as (often
 gzipped) CSV shards, so alongside parquet, WARC and JSONL this is the
-fourth on-ramp a reference user needs. Same design as
-``sources/jsonl.py``: the FILE is the parallelism unit —
-``read_binary_files`` → per-file vectorized parse in a ``map_batches``
-through pyarrow's C++ CSV reader; no per-row Python on the happy path.
+fourth on-ramp a reference user needs. The FILE is the parallelism
+unit: ``read_csv_shards`` is a ``sources/files.read_files`` read, one
+task per file that parses its own file through pyarrow's C++ CSV
+reader; no per-row Python on the happy path.
 
 Quoted fields (embedded delimiters, quotes, newlines) follow RFC 4180
 — the same dialect DuckDB's ``read_csv`` speaks, which is what the
 gate oracle certifies. An explicit ``schema`` pins column types so an
 all-digits text shard can't drift the inferred schema between files;
 structurally invalid rows are SKIPPED per row (not per shard) via the
-reader's invalid-row handler — a corrupt shard must never kill a
-100 TB job (the per-record isolation rule of the WARC/extract paths).
+reader's invalid-row handler (the per-record isolation rule of the
+WARC/extract paths). A ``.gz`` shard that is cut short or corrupt is
+not recovered: ``sources/files.gunzip`` raises (``EOFError``,
+``zlib.error`` or ``gzip.BadGzipFile``), and the read fails loudly.
 """
 
 from __future__ import annotations
 
-import gzip
 import io
-import os
 
 import pyarrow as pa
 
+from zhtml_ray.sources.files import gunzip, read_files
+
 _EXTS = (".csv", ".tsv", ".csv.gz", ".tsv.gz")
-
-
-def _expand(paths_or_dir) -> list[str]:
-    if isinstance(paths_or_dir, (str, os.PathLike)):
-        p = os.fspath(paths_or_dir)
-        if os.path.isdir(p):
-            return sorted(
-                os.path.join(p, f) for f in os.listdir(p)
-                if f.endswith(_EXTS))
-        return [p]
-    return [os.fspath(p) for p in paths_or_dir]
 
 
 def parse_csv_bytes(buf: bytes, schema: pa.Schema | None = None,
@@ -46,7 +37,7 @@ def parse_csv_bytes(buf: bytes, schema: pa.Schema | None = None,
     from pyarrow import csv as pa_csv
 
     if buf[:2] == b"\x1f\x8b":
-        buf = gzip.decompress(buf)
+        buf = gunzip(buf)
     # strings_can_be_null: empty fields read as NULL — the DuckDB
     # read_csv default, which the gate oracle certifies
     convert = pa_csv.ConvertOptions(
@@ -79,13 +70,8 @@ def read_csv_shards(paths_or_dir, schema: pa.Schema | None = None,
     (recommended — inference is per-file); ``columns`` projects after
     parse (the CSV text of a row must be scanned either way — no
     read-level pruning to push down, unlike parquet)."""
-    import ray.data as rd
-
-    files = _expand(paths_or_dir)
-    if not files:
-        raise ValueError("no .csv/.tsv(.gz) files found")
     if columns is not None:
-        # validate HERE, not inside a Ray task's all-empty fallback
+        # validate HERE, not inside a Ray task
         if schema is None:
             raise ValueError("columns projection requires a schema "
                              "(per-file inference cannot guarantee them)")
@@ -93,22 +79,10 @@ def read_csv_shards(paths_or_dir, schema: pa.Schema | None = None,
         if missing:
             raise ValueError(f"columns not in schema: {sorted(missing)}")
 
-    def parse(batch: pa.Table) -> pa.Table:
-        tables = []
-        for buf in batch["bytes"]:
-            t = parse_csv_bytes(buf.as_py(), schema=schema,
+    def load(path: str) -> pa.Table:
+        with open(path, "rb") as f:
+            t = parse_csv_bytes(f.read(), schema=schema,
                                 delimiter=delimiter)
-            if columns is not None and t.num_columns:
-                t = t.select(columns)
-            if t.num_rows:
-                tables.append(t)
-        if not tables:
-            base = schema if schema is not None else pa.schema([])
-            cols = columns if columns is not None else [
-                f.name for f in base]
-            return pa.table({n: pa.array([], base.field(n).type)
-                             for n in cols})
-        return pa.concat_tables(tables, promote_options="default")
+        return t.select(columns) if columns is not None else t
 
-    return rd.read_binary_files(files).map_batches(
-        parse, batch_format="pyarrow")
+    return read_files(paths_or_dir, _EXTS, load)

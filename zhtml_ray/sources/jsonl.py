@@ -4,42 +4,32 @@ Processed web corpora ship as JSONL shards (Dolma, RedPajama, C4 dumps:
 one JSON object per line, usually gzip-compressed), so alongside the
 parquet and WARC sources this is the third on-ramp a reference user
 needs. The FILE is the parallelism unit (shards are sized for exactly
-that role), so the shape is ``read_binary_files`` → per-file parse in a
-``map_batches`` — the same design as ``sources/warc.py``.
+that role): ``read_jsonl`` is a ``sources/files.read_files`` read, one
+task per file that opens and parses its own file.
 
 Parsing is pyarrow's C++ JSON reader (``pyarrow.json.read_json``) on
 the whole decompressed buffer — one vectorized pass, no per-line Python
 on the happy path. A file whose parse fails (one malformed line fails
 the whole C++ read) drops to a per-line recovery pass that skips just
 the bad lines, matching the per-record failure isolation of the WARC
-and extract paths: a corrupt shard must never kill a 100 TB job.
+and extract paths. A ``.gz`` shard that is cut short or corrupt is not
+recovered: ``sources/files.gunzip`` raises (``EOFError``,
+``zlib.error`` or ``gzip.BadGzipFile``), and the read fails loudly.
 
-``.gz`` shards decompress with ``gzip.decompress`` (multi-member safe);
-an explicit ``schema`` pins column types so a shard of all-null or
+An explicit ``schema`` pins column types so a shard of all-null or
 all-int values can't drift the inferred schema between files.
 """
 
 from __future__ import annotations
 
-import gzip
 import io
-import os
 
 import pyarrow as pa
 
+from zhtml_ray.sources.files import gunzip, read_files
+
 _EXTS = (".jsonl", ".ndjson", ".json", ".jsonl.gz", ".ndjson.gz",
          ".json.gz")
-
-
-def _expand(paths_or_dir) -> list[str]:
-    if isinstance(paths_or_dir, (str, os.PathLike)):
-        p = os.fspath(paths_or_dir)
-        if os.path.isdir(p):
-            return sorted(
-                os.path.join(p, f) for f in os.listdir(p)
-                if f.endswith(_EXTS))
-        return [p]
-    return [os.fspath(p) for p in paths_or_dir]
 
 
 def parse_jsonl_bytes(buf: bytes, schema: pa.Schema | None = None
@@ -49,7 +39,7 @@ def parse_jsonl_bytes(buf: bytes, schema: pa.Schema | None = None
     from pyarrow import json as pa_json
 
     if buf[:2] == b"\x1f\x8b":
-        buf = gzip.decompress(buf)
+        buf = gunzip(buf)
     opts = (pa_json.ParseOptions(explicit_schema=schema)
             if schema is not None else None)
     try:
@@ -77,27 +67,9 @@ def read_jsonl(paths_or_dir, schema: pa.Schema | None = None,
     (recommended — inference is per-file); ``columns`` projects after
     parse (the JSON text of a row must be scanned either way, so
     unlike parquet there is no read-level pruning to push down)."""
-    import ray.data as rd
+    def load(path: str) -> pa.Table:
+        with open(path, "rb") as f:
+            t = parse_jsonl_bytes(f.read(), schema=schema)
+        return t.select(columns) if columns is not None else t
 
-    files = _expand(paths_or_dir)
-    if not files:
-        raise ValueError("no .jsonl/.ndjson(.gz) files found")
-
-    def parse(batch: pa.Table) -> pa.Table:
-        tables = []
-        for buf in batch["bytes"]:
-            t = parse_jsonl_bytes(buf.as_py(), schema=schema)
-            if columns is not None:
-                t = t.select(columns)
-            if t.num_rows:
-                tables.append(t)
-        if not tables:
-            base = schema if schema is not None else pa.schema([])
-            cols = columns if columns is not None else [
-                f.name for f in base]
-            return pa.table({n: pa.array([], base.field(n).type)
-                             for n in cols})
-        return pa.concat_tables(tables, promote_options="default")
-
-    return rd.read_binary_files(files).map_batches(
-        parse, batch_format="pyarrow")
+    return read_files(paths_or_dir, _EXTS, load)

@@ -2,36 +2,22 @@
 
 Hive/Trino-era lakes and many Hadoop-exported corpora ship as ORC;
 pyarrow carries a native reader/writer (``pyarrow.orc``), so this is
-zero new dependencies. Same design as the other byte sources
-(sources/arrowipc.py / warc.py): the FILE is the parallelism unit,
-each task opens its own file, and column projection happens AT THE
-READ — ``pyarrow.orc.ORCFile.read(columns=…)`` decodes only the
-requested stripes' columns, so a 2-column scan of a wide table never
+zero new dependencies. The FILE is the parallelism unit, as for every
+source in ``sources/files.py``: each task opens its own file, and
+column projection happens AT THE READ —
+``pyarrow.orc.ORCFile.read(columns=…)`` decodes only the requested
+stripes' columns, so a 2-column scan of a wide table never
 materializes the rest.
 
 Sink: ``write_orc(ds, out_dir)`` — one ``.orc`` file per block
-(Ray's natural write parallelism, mirroring ``write_parquet``'s
-file-per-block layout). NOT resumable by itself (uuid shard names);
-resumability belongs to the job CLI's manifest layer.
+(``sources/files.write_files``).
 """
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 
-_EXTS = (".orc",)
-
-
-def _expand(paths_or_dir) -> list[str]:
-    if isinstance(paths_or_dir, (str, os.PathLike)):
-        p = os.fspath(paths_or_dir)
-        if os.path.isdir(p):
-            return sorted(os.path.join(p, f) for f in os.listdir(p)
-                          if f.endswith(_EXTS))
-        return [p]
-    return [os.fspath(p) for p in paths_or_dir]
+from zhtml_ray.sources.files import read_files, write_files
 
 
 def orc_file_to_table(path: str,
@@ -46,39 +32,12 @@ def orc_file_to_table(path: str,
 def read_orc(paths_or_dir, columns: list[str] | None = None):
     """ORC shards → Dataset. Paths fan out as items; each task decodes
     its own file with projection pushed to the ORC reader."""
-    import ray.data as rd
-
-    files = _expand(paths_or_dir)
-    if not files:
-        raise FileNotFoundError(f"no .orc files under {paths_or_dir}")
-
-    def load(batch: pa.Table) -> pa.Table:
-        tabs = [orc_file_to_table(p, columns)
-                for p in batch["path"].to_pylist()]
-        return pa.concat_tables(tabs, promote_options="default")
-
-    return rd.from_items([{"path": p} for p in files]) \
-        .repartition(len(files)) \
-        .map_batches(load, batch_format="pyarrow")
+    return read_files(paths_or_dir, (".orc",),
+                      lambda p: orc_file_to_table(p, columns))
 
 
 def write_orc(ds, out_dir: str) -> int:
     """Dataset → one ORC file per block. Returns shards written."""
-    import uuid
-
-    import ray.data as rd  # noqa: F401  (documents the Dataset dep)
     from pyarrow import orc
 
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        name = f"part-{uuid.uuid4().hex[:12]}.orc"
-        tmp = os.path.join(out_dir, name + ".tmp")
-        orc.write_table(batch, tmp)
-        os.replace(tmp, os.path.join(out_dir, name))
-        return pa.table({"shard": pa.array([name]),
-                         "rows": pa.array([batch.num_rows], pa.int64())})
-
-    manifest = ds.map_batches(write_block, batch_size=None,
-                              batch_format="pyarrow").take_all()
-    return len(manifest)
+    return write_files(ds, out_dir, ".orc", orc.write_table)

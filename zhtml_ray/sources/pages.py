@@ -231,18 +231,11 @@ def read_html_files(paths_or_dir):
     (the reference's ``Tokenizer.initWithFile``,
     /root/reference/src/tokenizer.zig:127-137, generalized to a
     distributed read). Parquet shards remain the at-scale layout."""
-    import pyarrow as pa
-    import ray.data as rd
+    from zhtml_ray.sources.files import read_files
 
-    ds = rd.read_binary_files(paths_or_dir, include_paths=True)
+    def load(path: str) -> pa.Table:
+        with open(path, "rb") as f:
+            return pa.table({"url": pa.array([path], pa.string()),
+                             "html": pa.array([f.read()], pa.binary())})
 
-    def to_pages(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "url": batch.column("path"),
-            # zero-copy type adjustment — never round-trip blobs
-            # through Python lists
-            "html": pc.cast(batch.column("bytes"), pa.binary()),
-        })
-
-    return ds.map_batches(to_pages, batch_format="pyarrow")
+    return read_files(paths_or_dir, (".html", ".htm"), load)

@@ -10,16 +10,18 @@ Common Crawl ships as WARC files: concatenated records of the form ::
 ``response`` records carry a full HTTP response (status line + headers
 + body); the HTML payload is the body after the first blank line. The
 ``.warc.gz`` layout is per-record gzip members concatenated into one
-file — Python's ``gzip.decompress`` handles multi-member streams in a
-single call, so one pass recovers the plain stream.
+file; ``sources/files.gunzip`` recovers the plain stream in time linear
+in the member count.
 
 Scale shape: the FILE is the parallelism unit (a Common-Crawl shard is
-~1 GB, the same granularity real crawl jobs schedule), so this is a
-``read_binary_files`` → flat parse ``map_batches``. The parser is a
+~1 GB, the same granularity real crawl jobs schedule), so
+``read_warc`` is a ``sources/files.read_files`` read: one task per
+file, which opens, decodes and parses its own file. The parser is a
 byte-cursor over the buffer (``find``-based, no regex backtracking,
 no line-splitting of payload bytes); malformed records are skipped
 per record and never fail the file, matching the extract pipeline's
-per-row failure isolation.
+per-row failure isolation. A truncated or corrupt ``.gz`` shard
+yields no rows.
 
 Output schema matches the parquet pages source (``url: string,
 warc_ts: timestamp[us], html: binary``) so ``read_warc`` drops into
@@ -33,6 +35,8 @@ import zlib
 from datetime import datetime
 
 import pyarrow as pa
+
+from zhtml_ray.sources.files import gunzip, read_files
 
 _CRLF2 = b"\r\n\r\n"
 
@@ -113,7 +117,7 @@ def warc_bytes_to_pages(buf: bytes) -> pa.Table:
         # raise zlib.error — neither is an OSError/BadGzipFile, and a
         # bad shard must yield 0 rows, not fail the read task
         try:
-            buf = gzip.decompress(buf)
+            buf = gunzip(buf)
         except (OSError, EOFError, zlib.error):
             buf = b""
     urls, tss, htmls = [], [], []
@@ -130,23 +134,19 @@ def warc_bytes_to_pages(buf: bytes) -> pa.Table:
     })
 
 
+def warc_file_to_pages(path: str) -> pa.Table:
+    """One ``.warc`` / ``.warc.gz`` file → pages-shaped Arrow table."""
+    with open(path, "rb") as f:
+        return warc_bytes_to_pages(f.read())
+
+
 def read_warc(paths_or_dir):
     """``.warc`` / ``.warc.gz`` shards → pages-shaped Dataset. One
     input file = one parse task (the crawl-native shard granularity);
     Ray fans files across the cluster and the streaming executor
     pipelines parse into downstream stages."""
-    import ray.data as rd
-
-    ds = rd.read_binary_files(paths_or_dir)
-
-    def parse(batch: pa.Table) -> pa.Table:
-        tables = [warc_bytes_to_pages(b.as_py())
-                  for b in batch.column("bytes")]
-        if not tables:
-            return warc_bytes_to_pages(b"")
-        return pa.concat_tables(tables)
-
-    return ds.map_batches(parse, batch_format="pyarrow")
+    return read_files(paths_or_dir, (".warc", ".warc.gz"),
+                      warc_file_to_pages)
 
 
 def build_warc(records, per_record_gzip: bool = False) -> bytes:

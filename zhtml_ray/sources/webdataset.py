@@ -5,9 +5,9 @@ shards: plain ``.tar`` files whose members are named ``<key>.<ext>``,
 where every member sharing a key is one sample and the extension names
 the field (``txt``, ``json``, ``png``, ``cls``, …). The format is just
 POSIX tar — readable/writable with the standard library — and its unit
-of parallelism is the SHARD, which maps 1:1 onto the repo's
-``read_binary_files`` → per-file parse ``map_batches`` pattern
-(sources/warc.py, sources/jsonl.py).
+of parallelism is the SHARD: ``read_webdataset`` is a
+``sources/files.read_files`` read, one task per shard that opens and
+parses its own tar.
 
 Source: ``read_webdataset(paths)`` → Dataset rows
 ``{"__key__", "__shard__", <ext>: binary, …}`` — one row per sample,
@@ -18,12 +18,8 @@ adjacent), but the reader groups by key per shard, so shuffled tars
 still parse correctly.
 
 Sink: ``write_webdataset(ds, out_dir, …)`` — one ``.tar`` shard per
-input BLOCK (Ray's natural write parallelism, mirroring
-``write_parquet``'s file-per-block layout), rows → members in column
-order. Shard naming ``part-<block>-<uuid>.tar`` keeps concurrent
-writers collision-free. The sink itself is NOT resumable — a rerun
-into the same directory adds fresh uuid-named shards; resumability
-belongs to the job CLI's manifest layer.
+input BLOCK (``sources/files.write_files``), rows → members in column
+order.
 
 At 100 TB: shards stream through the object store one block at a time
 (no full-dataset materialization on either side); a corrupt member
@@ -32,23 +28,14 @@ isolates to its sample, a corrupt shard to that shard.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import tarfile
 
 import pyarrow as pa
 
-_META_COLS = ("__key__", "__shard__")
-
-
-def _expand(paths_or_dir) -> list[str]:
-    if isinstance(paths_or_dir, (str, os.PathLike)):
-        p = os.fspath(paths_or_dir)
-        if os.path.isdir(p):
-            return sorted(os.path.join(p, f) for f in os.listdir(p)
-                          if f.endswith(".tar"))
-        return [p]
-    return [os.fspath(p) for p in paths_or_dir]
+from zhtml_ray.sources.files import read_files, write_files
 
 
 def parse_webdataset_bytes(buf: bytes, shard: str,
@@ -66,11 +53,10 @@ def parse_webdataset_bytes(buf: bytes, shard: str,
     order: list[str] = []
     try:
         tf = tarfile.open(fileobj=io.BytesIO(buf))
-    except tarfile.TarError:
-        return pa.table({c: pa.array([], pa.string())
-                         for c in _META_COLS})
-    with tf:
-        for m in tf:
+    except tarfile.TarError:  # a corrupt shard isolates to itself
+        tf = contextlib.nullcontext(())
+    with tf as members:
+        for m in members:
             if not m.isfile():
                 continue
             base = m.name
@@ -112,38 +98,20 @@ def read_webdataset(paths_or_dir, fields: list[str] | None = None,
     pins the schema across shards; ``text_fields`` utf-8-decodes those
     extensions to string columns (errors="replace" — lossy members
     must not kill the shard)."""
-    import ray.data as rd
-
-    files = _expand(paths_or_dir)
-    if not files:
-        raise ValueError("no .tar shards found")
-
-    def parse(batch: pa.Table) -> pa.Table:
-        tables = []
-        for path, buf in zip(batch["path"].to_pylist(), batch["bytes"]):
-            t = parse_webdataset_bytes(buf.as_py(),
-                                       os.path.basename(path),
+    def load(path: str) -> pa.Table:
+        with open(path, "rb") as f:
+            t = parse_webdataset_bytes(f.read(), os.path.basename(path),
                                        fields=fields)
-            if t.num_rows:
-                tables.append(t)
-        if not tables:
-            base = ["__key__", "__shard__"] + list(fields or [])
-            return pa.table({c: pa.array(
-                [], pa.string() if c in _META_COLS else pa.binary())
-                for c in base})
-        out = pa.concat_tables(tables, promote_options="default")
         for tfld in text_fields:
-            if tfld in out.column_names:
+            if tfld in t.column_names:
                 vals = [None if v is None
                         else v.decode("utf-8", errors="replace")
-                        for v in out[tfld].to_pylist()]
-                i = out.schema.get_field_index(tfld)
-                out = out.set_column(i, tfld,
-                                     pa.array(vals, pa.string()))
-        return out
+                        for v in t[tfld].to_pylist()]
+                i = t.schema.get_field_index(tfld)
+                t = t.set_column(i, tfld, pa.array(vals, pa.string()))
+        return t
 
-    return rd.read_binary_files(files, include_paths=True).map_batches(
-        parse, batch_format="pyarrow")
+    return read_files(paths_or_dir, (".tar",), load)
 
 
 def write_webdataset(ds, out_dir: str, key_col: str,
@@ -155,14 +123,8 @@ def write_webdataset(ds, out_dir: str, key_col: str,
     into the same directory duplicates data — the resumable-job path
     for tar output is the job CLI's manifest layer; this sink is just
     the format writer."""
-    import uuid
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        name = f"part-{uuid.uuid4().hex[:12]}.tar"
-        tmp = os.path.join(out_dir, name + ".tmp")
-        with tarfile.open(tmp, "w") as tf:
+    def write(batch: pa.Table, path: str) -> None:
+        with tarfile.open(path, "w") as tf:
             keys = batch[key_col].to_pylist()
             data = {c: batch[c].to_pylist() for c in field_cols}
             for i, k in enumerate(keys):
@@ -175,11 +137,5 @@ def write_webdataset(ds, out_dir: str, key_col: str,
                     info = tarfile.TarInfo(name=f"{k}.{ext}")
                     info.size = len(v)
                     tf.addfile(info, io.BytesIO(v))
-        os.replace(tmp, os.path.join(out_dir, name))
-        return pa.table({"shard": pa.array([name], pa.string()),
-                         "rows": pa.array([len(keys)], pa.int64())})
 
-    # batch_size=None → one tar per BLOCK (write_parquet's layout)
-    manifest = ds.map_batches(write_block, batch_format="pyarrow",
-                              batch_size=None).to_pandas()
-    return len(manifest)
+    return write_files(ds, out_dir, ".tar", write)
