@@ -91,21 +91,15 @@ def bench_extract(pages_dir: str, out_dir: str) -> float:
     """Steady-state wall: one untimed warm-up run (spins up the worker
     pool + page cache — a 100 TB job runs for hours at steady state, so
     cold-start is not the number that scales), then the timed run.
-    Block count 2×cores: measured sweet spot (fewer driver-side
-    per-task overheads, still 2+ waves for balancing)."""
+    The block count is skew routing's own (~1000 rows per task, floor
+    2 waves per core: ``extract_with_skew_routing``)."""
     import shutil
-    import pyarrow.dataset as pads
     from zhtml_ray.stages.skew import extract_with_skew_routing
 
-    # ~1000 rows (≈1.2 s) per task, floor 2 waves per core: fewer tasks
-    # = less driver-side per-task overhead, enough waves to balance
-    n_rows = pads.dataset(pages_dir).count_rows()
-    blocks = max(2 * NUM_CPUS, n_rows // 1000)
     if os.environ.get("ZHTML_RAY_BENCH_WARMUP", "1") != "0":
         warm_dir = out_dir + ".warmup"
         shutil.rmtree(warm_dir, ignore_errors=True)
-        extract_with_skew_routing(
-            pages_dir, override_num_blocks=blocks).write_parquet(warm_dir)
+        extract_with_skew_routing(pages_dir).write_parquet(warm_dir)
         shutil.rmtree(warm_dir, ignore_errors=True)
 
     repeats = int(os.environ.get("ZHTML_RAY_BENCH_REPEATS", "2"))
@@ -113,7 +107,7 @@ def bench_extract(pages_dir: str, out_dir: str) -> float:
     for _ in range(repeats):  # best-of-N timed runs (±10% host noise)
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.time()
-        ds = extract_with_skew_routing(pages_dir, override_num_blocks=blocks)
+        ds = extract_with_skew_routing(pages_dir)
         ds.write_parquet(out_dir)
         dt = time.time() - t0
         best = dt if best is None else min(best, dt)
@@ -124,20 +118,15 @@ def bench_error_histogram(pages_dir: str) -> float:
     """Parse → error-code histogram. Counts are pre-aggregated inside
     map_batches (partial combine), so the groupby shuffles ~50 rows per
     block instead of ~40 exploded codes per doc — the at-scale pattern
-    (SURVEY.md §2.5)."""
+    (SURVEY.md §2.5). The read and extract are skew routing's, as in
+    ``bench_extract``: the fixture's mega shard is split across blocks."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    import ray.data as rd
     from ray.data.aggregate import Sum
-    from zhtml_ray.pipelines.extract import extract_pages
+    from zhtml_ray.stages.skew import extract_with_skew_routing
 
-    n_rows = pads.dataset(pages_dir).count_rows()
-    blocks = max(2 * NUM_CPUS, n_rows // 1000)
-    ds = rd.read_parquet(pages_dir, columns=["url", "html", "lang"],
-                         override_num_blocks=blocks)
+    ds = extract_with_skew_routing(pages_dir, include_spans=False)
     t0 = time.time()
-    ds = extract_pages(ds, include_spans=False)
 
     def partial(t: pa.Table) -> pa.Table:
         flat = pc.list_flatten(t.column("errors"))

@@ -684,12 +684,24 @@ def test_minhash_dedup_empty_and_filtered_blocks(ray_session):
     assert len(out2) == 5
 
 
+def _assert_frames_equal(got, want):
+    """``assert_frame_equal`` with one null sentinel: an object
+    column's null-likes (None from Arrow, NaN from pandas) are None on
+    both sides; every other value is compared as strictly as before."""
+    import pandas as pd
+
+    got, want = got.copy(), want.copy()
+    for df in (got, want):
+        for c in df.columns[df.dtypes == object]:
+            df[c] = df[c].where(df[c].notna(), None)
+    pd.testing.assert_frame_equal(got, want)
+
+
 @pytest.mark.parametrize("nblocks", [1, 7, 40])
 def test_sorted_first_per_group_matches_pandas(ray_session, nblocks):
     """sortagg primitive vs pandas groupby.first on randomized data,
     across block layouts that force boundary runs (groups spanning
     2+ blocks, single-run blocks, nulls in the group key)."""
-    import pandas as pd
     import ray.data as rd
     from zhtml_ray.stages.sortagg import sorted_first_per_group
 
@@ -710,9 +722,7 @@ def test_sorted_first_per_group_matches_pandas(ray_session, nblocks):
             .groupby(["g", "g2"], dropna=False, as_index=False).first()
             .sort_values(["g", "g2"], na_position="last")
             .reset_index(drop=True))
-    got = got[["g", "g2", "v"]]
-    want = want[["g", "g2", "v"]]
-    pd.testing.assert_frame_equal(got, want)
+    _assert_frames_equal(got[["g", "g2", "v"]], want[["g", "g2", "v"]])
 
 
 @pytest.mark.parametrize("nblocks", [1, 7, 40])
@@ -720,7 +730,6 @@ def test_sorted_sum_per_group_matches_pandas(ray_session, nblocks):
     """sorted_sum_per_group vs pandas groupby.sum across block layouts
     that force boundary runs (hot groups spanning several blocks,
     string + null group keys, two sum columns)."""
-    import pandas as pd
     import ray.data as rd
     from zhtml_ray.stages.sortagg import sorted_sum_per_group
 
@@ -744,8 +753,8 @@ def test_sorted_sum_per_group_matches_pandas(ray_session, nblocks):
             [["a", "b"]].sum()
             .sort_values(["g", "g2"], na_position="last")
             .reset_index(drop=True))
-    pd.testing.assert_frame_equal(got[["g", "g2", "a", "b"]],
-                                  want[["g", "g2", "a", "b"]])
+    _assert_frames_equal(got[["g", "g2", "a", "b"]],
+                         want[["g", "g2", "a", "b"]])
 
 
 @pytest.mark.parametrize("how,nblocks", [("inner", 1), ("inner", 7),
@@ -756,7 +765,6 @@ def test_sorted_lookup_join_matches_pandas(ray_session, how, nblocks):
     """merge-join-as-sort primitive vs pandas merge on randomized data:
     repeated big-side keys, keys missing from the lookup, string keys,
     two payload columns, block layouts that force boundary runs."""
-    import pandas as pd
     import ray.data as rd
     from zhtml_ray.stages.sortagg import sorted_lookup_join
 
@@ -786,8 +794,8 @@ def test_sorted_lookup_join_matches_pandas(ray_session, how, nblocks):
             "int64" if how == "inner" else "float64")
         df["val"] = df["val"].astype(
             "float64" if how == "full" else "int64")
-    pd.testing.assert_frame_equal(got[["k", "val", "p1", "p2"]],
-                                  want[["k", "val", "p1", "p2"]])
+    _assert_frames_equal(got[["k", "val", "p1", "p2"]],
+                         want[["k", "val", "p1", "p2"]])
     if how == "full":
         assert (got["k"].str.startswith("x")).sum() == 50
         assert got.loc[got["k"].str.startswith("x"), "val"].isna().all()

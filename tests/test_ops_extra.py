@@ -536,6 +536,31 @@ def test_harmonize_union_drift_semantics(ray_session):
         harmonize_union([bad], target).take_all()
 
 
+def test_schema_drift_union_rebuilds_v2_per_sf_dir(ray_session, tmp_path):
+    """One process, two sf dirs of different sizes: each call's v2
+    snapshot is derived from ITS documents table, never a cached one."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from zhtml_ray.pipelines.ops_queries import q_schema_drift_union
+
+    for n, base in ((3, 0), (5, 100)):
+        sf = tmp_path / f"sf{n}"
+        sf.mkdir()
+        ids = list(range(base, base + n))
+        pq.write_table(pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "lang": ["en"] * n,
+            "n_chars": pa.array([7] * n, pa.int64())}),
+            sf / "documents.parquet")
+        rows = q_schema_drift_union(str(sf)).take_all()
+        assert sorted(r["doc_id"] for r in rows) == \
+            ids + [10 ** 9 + i for i in ids]
+        assert sorted(r["crawl_ts"] for r in rows
+                      if r["crawl_ts"] is not None) == \
+            [1000 * i for i in ids]
+
+
 def test_golden_sweep_spares_claimed_superseded_dirs(tmp_path, monkeypatch):
     """A superseded-digest golden dir CLAIMED by a live process (its
     .inuse.<pid> marker) must survive the sweep — a source edit during

@@ -160,6 +160,30 @@ def test_read_plan_block_count_and_order(ray_session, tmp_path):
     assert read_plan([giant, giant])["read_blocks"] == 4
 
 
+def test_registry_pages_entry_fuses_one_read_task_per_file(
+        ray_session, tmp_path, monkeypatch):
+    """A registry pages entry reads through the planned pages reader
+    (``sources/pages.read_pages``): over 3 small shards, the read and
+    ``LinksBatch`` run as ONE fused operator of one task per file."""
+    import re
+
+    from zhtml_ray.pipelines import extract, golden
+    from zhtml_ray.pipelines.queries import queries
+    from zhtml_ray.sources.pages import write_pages_dataset
+
+    pages = str(tmp_path / "pages")
+    assert len(write_pages_dataset(pages, 150, rows_per_file=50)) == 3
+    monkeypatch.setattr(extract, "pages_dir_for", lambda sf_dir: pages)
+    monkeypatch.setattr(golden, "ensure_golden", lambda *a: None)
+    plans = _executed_plans(monkeypatch)
+    st = queries()["links"](str(tmp_path)).materialize().stats()
+    [plan] = plans
+    assert [op for op in plan if op.startswith("ReadParquet")] == [
+        "ReadParquet->MapBatches(LinksBatch)"]
+    assert re.search(r"ReadParquet->MapBatches\(LinksBatch\): "
+                     r"(\d+) tasks executed", st).group(1) == "3"
+
+
 def test_skew_routing_matches_unrouted(ray_session, tmp_path):
     from zhtml_ray.sources.pages import write_pages_dataset
     from zhtml_ray.stages.skew import extract_with_skew_routing

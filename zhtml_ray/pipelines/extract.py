@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import os
 
-from zhtml_ray.sources.pages import write_pages_dataset
+from zhtml_ray.sources.pages import (plan_pages, read_pages,
+                                     write_pages_dataset)
 
 # FIXTURES.md scales, keyed by the sf token in the dir name
 _SF_PAGES = {"sf0.001": 500, "sf0.01": 5000, "sf0.1": 50000}
@@ -67,10 +68,8 @@ def extract_pages(ds, include_spans: bool = True, batch_size: int | None = None,
                           num_cpus=1.0)
 
 
-def run_extract(sf_dir: str, include_spans: bool = True, **knobs):
-    """End-to-end: derive pages for sf_dir, read, extract. Lazy Dataset."""
-    import ray.data as rd
-
-    pages_dir = pages_dir_for(sf_dir)
-    ds = rd.read_parquet(pages_dir, columns=["url", "html", "lang"])
-    return extract_pages(ds, include_spans=include_spans, **knobs)
+def run_extract(sf_dir: str, include_spans: bool = True):
+    """End-to-end: derive pages for sf_dir, read (one planned read,
+    ``sources/pages.read_pages``), extract. Lazy Dataset."""
+    ds = read_pages(plan_pages(pages_dir_for(sf_dir)), ["url", "html", "lang"])
+    return extract_pages(ds, include_spans=include_spans)

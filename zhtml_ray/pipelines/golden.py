@@ -145,9 +145,8 @@ def gate_project(tbl: pa.Table) -> pa.Table:
 
 def _pages_files(sf_dir: str) -> list[str]:
     from zhtml_ray.pipelines.extract import pages_dir_for
-    d = pages_dir_for(sf_dir)
-    return sorted(os.path.join(d, f) for f in os.listdir(d)
-                  if f.endswith(".parquet"))
+    from zhtml_ray.sources.files import expand
+    return expand(pages_dir_for(sf_dir), (".parquet",))
 
 
 # serial per-(kind, sf) results cached in-process: error_histogram

@@ -324,8 +324,9 @@ def _c4_batch(batch, min_words: int = 5, min_kept: int = 3):
 
 def q_c4_clean(sf_dir: str):
     """C4 cleaning pipeline: pages → parse+extract → per-line filter,
-    fused as two map stages (zero shuffles; the extract stage is the
-    flagship skew-routed operator). Oracled ALGORITHM-INDEPENDENTLY:
+    fused as two map stages (zero shuffles; the extract stage is
+    ``run_extract`` over the one planned pages read,
+    ``sources/pages.read_pages``). Oracled ALGORITHM-INDEPENDENTLY:
     the SQL side re-implements the line rules in DuckDB list lambdas
     over the pinned extract golden, so only the extractor itself rests
     on the pinned-serial invariant — the C4 stage is cross-checked by
@@ -1808,30 +1809,39 @@ def _sql_group_quantiles() -> str:
 # JSON escaping, gzip framing and type mapping end-to-end. Per-pid dir
 # (the golden.py pattern) so concurrent gates at different scales can't
 # interleave.
-def _ensure_pid_fixture(root: str, sf_dir: str, write_fn) -> str:
-    """Shared per-process source-fixture lifecycle (jsonl/warc/csv):
-    a ``current_<pid>`` dir keyed by a ``.sf_dir`` tag, dead-pid
-    sweeping of sibling dirs, atomic-enough rebuild via rmtree+mkdir,
-    then ``write_fn(dir, sf_dir)`` emits the shards. Extracted from
-    three verbatim copies (review find) so lifecycle fixes can't
-    drift."""
+def _own_pid_dir(prefix: str) -> str:
+    """``<prefix><pid>`` for this process, after removing every
+    ``<prefix><pid>`` whose process is gone (per-pid /tmp dirs keep
+    concurrent gate runs apart, and would otherwise pile up one copy
+    per dead process). A suffix that is not a pid is left alone."""
+    import glob
     import os
     import shutil
 
-    d = os.path.join(root, f"current_{os.getpid()}")
+    for d in glob.glob(glob.escape(prefix) + "*"):
+        try:
+            os.kill(int(d[len(prefix):]), 0)
+        except ProcessLookupError:
+            shutil.rmtree(d, ignore_errors=True)
+        except (ValueError, PermissionError):
+            pass
+    return f"{prefix}{os.getpid()}"
+
+
+def _ensure_pid_fixture(root: str, sf_dir: str, write_fn) -> str:
+    """Shared per-process source-fixture lifecycle (jsonl/warc/csv/…):
+    a ``current_<pid>`` dir keyed by a ``.sf_dir`` tag, dead-pid
+    sweeping of sibling dirs (``_own_pid_dir``), atomic-enough rebuild
+    via rmtree+mkdir, then ``write_fn(dir, sf_dir)`` emits the shards.
+    Extracted from three verbatim copies (review find) so lifecycle
+    fixes can't drift."""
+    import os
+    import shutil
+
+    d = _own_pid_dir(os.path.join(root, "current_"))
     tag = os.path.join(d, ".sf_dir")
     if os.path.exists(tag) and open(tag).read() == sf_dir:
         return d
-    if os.path.isdir(root):
-        for name in os.listdir(root):
-            try:
-                pid = int(name.rsplit("_", 1)[1])
-                os.kill(pid, 0)
-            except (ValueError, IndexError, ProcessLookupError):
-                shutil.rmtree(os.path.join(root, name),
-                              ignore_errors=True)
-            except PermissionError:
-                pass
     shutil.rmtree(d, ignore_errors=True)
     os.makedirs(d)
     write_fn(d, sf_dir)
@@ -2198,11 +2208,11 @@ _WARC_ROOT = "/tmp/zhtml_ray_warcfix"
 
 
 def _write_warc_shards(d: str, sf_dir: str) -> None:
-    """4 gzipped WARC shards built from the documents table with the
-    engine's own serializer (url/date/body derived from doc_id by a
-    closed formula the SQL oracle recomputes independently — the gate
-    then certifies the full write→parse→HTTP-strip roundtrip)."""
-    import gzip
+    """4 ``.warc.gz`` shards of one gzip member per record, as real
+    crawl shards are, built from the documents table with the engine's
+    own serializer (url/date/body derived from doc_id by a closed
+    formula the SQL oracle recomputes independently — the gate then
+    certifies the full write→gunzip→parse→HTTP-strip roundtrip)."""
     import os
     from datetime import datetime, timedelta
 
@@ -2222,7 +2232,7 @@ def _write_warc_shards(d: str, sf_dir: str) -> None:
             recs.append((f"https://warc.example/{did}", date,
                          (r["text"] or "").encode("utf-8")))
         with open(os.path.join(d, f"part-{shard}.warc.gz"), "wb") as f:
-            f.write(gzip.compress(build_warc(recs)))
+            f.write(build_warc(recs, per_record_gzip=True))
 
 
 def _ensure_warc_fixture(sf_dir: str) -> str:
@@ -3597,6 +3607,26 @@ FROM events GROUP BY user_id, event_type
 """
 
 
+_DRIFT_ROOT = "/tmp/zhtml_ray_drift"
+
+
+def _write_drift_v2(d: str, sf_dir: str) -> None:
+    """``q_schema_drift_union``'s v2 snapshot of the documents table,
+    written as parquet under ``d``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    def to_v2(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].combine_chunks()
+        return pa.table({
+            "doc_id": pc.add(ids, pa.scalar(10 ** 9, pa.int64())),
+            "n_chars": pc.cast(b["n_chars"], pa.int32()),
+            "crawl_ts": pc.multiply(ids, pa.scalar(1000, pa.int64()))})
+
+    _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
+        to_v2, batch_format="pyarrow").write_parquet(d)
+
+
 def q_schema_drift_union(sf_dir: str):
     """X126: schema-evolution union — combine two AT-REST snapshots
     whose schemas drifted (v2: ids offset by 1e9, `n_chars` narrowed
@@ -3605,43 +3635,15 @@ def q_schema_drift_union(sf_dir: str):
     null-fill, narrow ints widen, column order aligns
     (`stages/util.py:harmonize_union` — pure maps + zero-copy union,
     no shuffle). v2 is derived deterministically and written to a
-    per-pid /tmp dir first so the drift is exercised at the PARQUET
-    boundary, not in memory."""
-    import glob
-    import os
-    import shutil
-
+    per-pid fixture dir keyed by ``sf_dir`` (``_ensure_pid_fixture``)
+    first so the drift is exercised at the PARQUET boundary, not in
+    memory."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from zhtml_ray.stages.util import harmonize_union
 
-    for d in glob.glob("/tmp/zhtml_ray_drift_*"):
-        try:
-            pid = int(d.rsplit("_", 1)[1])
-            if pid != os.getpid():
-                os.kill(pid, 0)
-        except ProcessLookupError:
-            shutil.rmtree(d, ignore_errors=True)
-        except (ValueError, PermissionError):
-            pass
-    root = f"/tmp/zhtml_ray_drift_{os.getpid()}"
-    v2dir = f"{root}/v2"
-    if not os.path.exists(v2dir):
-        os.makedirs(v2dir, exist_ok=True)
-
-        def to_v2(b: pa.Table) -> pa.Table:
-            ids = b["doc_id"].combine_chunks()
-            return pa.table({
-                "doc_id": pc.add(ids, pa.scalar(10 ** 9, pa.int64())),
-                "n_chars": pc.cast(b["n_chars"], pa.int32()),
-                "crawl_ts": pc.multiply(ids,
-                                        pa.scalar(1000, pa.int64()))})
-
-        _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
-            to_v2, batch_format="pyarrow").write_parquet(v2dir)
-
+    v2dir = _ensure_pid_fixture(_DRIFT_ROOT, sf_dir, _write_drift_v2)
     target = pa.schema([("doc_id", pa.int64()),
                         ("lang", pa.string()),
                         ("n_chars", pa.int64()),
@@ -4512,25 +4514,10 @@ def q_bucketed_join(sf_dir: str, n_buckets: int = 16):
     bucket with ZERO shuffle). Here: documents (doc_id, lang, n_chars)
     ⋈ the token-count table, both written bucketed to a per-pid /tmp
     dir, then joined bucket-locally."""
-    import glob
-    import os
-    import shutil
-
-    import pyarrow as pa
-
     from zhtml_ray.functions.textstats import token_count_batch
     from zhtml_ray.stages.bucketed import bucketed_join, write_bucketed
 
-    for d in glob.glob("/tmp/zhtml_ray_bucketed_*"):
-        try:
-            pid = int(d.rsplit("_", 1)[1])
-            if pid != os.getpid():
-                os.kill(pid, 0)
-        except ProcessLookupError:
-            shutil.rmtree(d, ignore_errors=True)
-        except (ValueError, PermissionError):
-            pass
-    root = f"/tmp/zhtml_ray_bucketed_{os.getpid()}"
+    root = _own_pid_dir("/tmp/zhtml_ray_bucketed_")
     da, db = f"{root}/docs", f"{root}/tokens"
     write_bucketed(_docs(sf_dir, ["doc_id", "lang", "n_chars"]),
                    da, "doc_id", n_buckets)
@@ -4941,8 +4928,6 @@ def q_incremental_neardup(sf_dir: str, threshold: float = 0.8):
     columns + pair-verify texts. Oracled ALGORITHM-INDEPENDENTLY:
     serial brute-force Jaccard over every (new, base) pair — recall
     AND precision of the at-rest probe."""
-    import os
-
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -4952,19 +4937,7 @@ def q_incremental_neardup(sf_dir: str, threshold: float = 0.8):
     from zhtml_ray.pipelines.golden import ensure_golden
 
     ensure_golden("incremental_neardup", sf_dir)
-    # per-pid index dir + dead-pid sweep (invidx hygiene rule)
-    import glob
-    import shutil
-    for d in glob.glob("/tmp/zhtml_ray_lshidx_*"):
-        try:
-            pid = int(d.rsplit("_", 1)[1])
-            if pid != os.getpid():
-                os.kill(pid, 0)
-        except ProcessLookupError:
-            shutil.rmtree(d, ignore_errors=True)
-        except (ValueError, PermissionError):
-            pass
-    out_dir = f"/tmp/zhtml_ray_lshidx_{os.getpid()}"
+    out_dir = _own_pid_dir("/tmp/zhtml_ray_lshidx_")
 
     docs = _docs(sf_dir, ["doc_id", "text"])
 
@@ -7245,27 +7218,12 @@ def q_inverted_index(sf_dir: str):
     ORDER, not just membership); absent probes yield no row. The
     index lands in a per-pid /tmp dir (concurrent gate runs can't
     interleave) and is rebuilt per call."""
-    import os
-
     import pyarrow as pa
 
     from zhtml_ray.functions.retrieval import (build_inverted_index,
                                                inverted_index_lookup)
 
-    # sweep dead-pid index dirs (the golden-cache hygiene rule —
-    # these otherwise accumulate one full index copy per gate process)
-    import glob
-    import shutil
-    for d in glob.glob("/tmp/zhtml_ray_invidx_*"):
-        try:
-            pid = int(d.rsplit("_", 1)[1])
-            if pid != os.getpid():
-                os.kill(pid, 0)
-        except ProcessLookupError:
-            shutil.rmtree(d, ignore_errors=True)
-        except (ValueError, PermissionError):
-            pass
-    out_dir = f"/tmp/zhtml_ray_invidx_{os.getpid()}"
+    out_dir = _own_pid_dir("/tmp/zhtml_ray_invidx_")
     ds = _docs(sf_dir, ["doc_id", "text"])
     build_inverted_index(ds, out_dir)
     stats: dict = {}

@@ -15,6 +15,12 @@ def _lineitem(sf_dir, columns=None):
     return rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=columns)
 
 
+def _pages(sf_dir):
+    from zhtml_ray.pipelines.extract import pages_dir_for
+    from zhtml_ray.sources.pages import plan_pages, read_pages
+    return read_pages(plan_pages(pages_dir_for(sf_dir)), ["url", "html"])
+
+
 def _money_cents(col):
     """Exact int64 cents from a 2-dp-decimal money double column."""
     import pyarrow as pa
@@ -1015,11 +1021,9 @@ def q_links(sf_dir: str):
     """Out-link (web-graph edge) extraction from the parsed DOM — the
     reference Document's links collection as a derived table
     (/root/reference/src/node.zig:28-33)."""
-    import ray.data as rd
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)
     return ds.map_batches(LinksBatch(), batch_format="pyarrow")
 
@@ -1034,12 +1038,10 @@ def q_link_pagerank(sf_dir: str):
     the pinned links golden, certifying the distributed graph plan
     (merge joins + partial-combine aggregates), not a same-kernel
     replay."""
-    import ray.data as rd
     from zhtml_ray.functions.graph import link_edges, pagerank
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)  # the oracle reads the links golden
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
     # driver_budget below the sf0.01 edge count so the driver gate
@@ -1063,12 +1065,10 @@ def q_link_hits(sf_dir: str):
     DuckDB implementation over the pinned links golden. driver_budget
     below the sf0.01 edge count so the driver gate exercises the
     distributed merge-join tier."""
-    import ray.data as rd
     from zhtml_ray.functions.graph import hits, link_edges
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
     return hits(link_edges(links), driver_budget=50_000)
@@ -1088,11 +1088,9 @@ def q_images(sf_dir: str):
     stages/node_table.py:FormsBatch — but the driver fixture contains
     no <form> markup, so it is pytest-gated on synthetic pages instead
     of carrying a vacuous 0-row oracle.)"""
-    import ray.data as rd
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import ImagesBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("images", sf_dir)
     return ds.map_batches(ImagesBatch(), batch_format="pyarrow")
 
@@ -1103,11 +1101,9 @@ def q_page_meta(sf_dir: str):
     catalog row per page, with <title> text through the real RCDATA
     tokenizer and first-wins attribute semantics
     (stages/node_table.py:PageMetaBatch)."""
-    import ray.data as rd
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import PageMetaBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("page_meta", sf_dir)
     return ds.map_batches(PageMetaBatch(), batch_format="pyarrow")
 
@@ -1118,11 +1114,9 @@ def q_table_cells(sf_dir: str):
     table semantics — foster-parented stray text must land OUTSIDE
     the table, implied sections inside
     (stages/node_table.py:TableCellsBatch)."""
-    import ray.data as rd
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import TableCellsBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("table_cells", sf_dir)
     return ds.map_batches(TableCellsBatch(), batch_format="pyarrow")
 
@@ -1136,15 +1130,12 @@ def q_link_components(sf_dir: str):
     machinery, two operators). Oracle: an INDEPENDENT serial
     union-find over the pinned links golden (algorithm-independent,
     the strongest gate form)."""
-    import ray.data as rd
-
     from zhtml_ray.functions.dedup import label_propagation
     from zhtml_ray.functions.graph import link_edges
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
 
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("link_components", sf_dir)
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
     edges = link_edges(links)
@@ -1167,12 +1158,10 @@ def q_link_triangles(sf_dir: str):
     with one sort-merge semi-join; both outputs are exact int64, so
     no float pin. Oracle: an INDEPENDENT DuckDB three-way self-join
     over the pinned links golden — a completely different plan."""
-    import ray.data as rd
     from zhtml_ray.functions.graph import link_edges, triangle_stats
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
     return triangle_stats(link_edges(links))
@@ -1192,14 +1181,12 @@ def q_crawl_depth(sf_dir: str):
     grouped-min depth merge per round, unreached nodes at −1. Exact
     int64 — no pin. Oracle: independent unrolled-round DuckDB plan
     over the pinned links golden."""
-    import ray.data as rd
     from zhtml_ray.functions.graph import (bfs_depth,
                                            indegree_zero_seeds,
                                            link_edges)
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
     edges = link_edges(links)
@@ -1217,12 +1204,10 @@ def q_link_cocitation(sf_dir: str):
     the same source; `functions/graph.py:cocitation_topk` docstring).
     Oracle: an INDEPENDENT DuckDB self-join plan over the pinned links
     golden."""
-    import ray.data as rd
     from zhtml_ray.functions.graph import cocitation_topk, link_edges
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
     return cocitation_topk(link_edges(links))
@@ -1240,12 +1225,10 @@ def q_link_degree_hist(sf_dir: str):
     diagnostic run before committing to a partitioning strategy (skew
     detection: a power-law in-degree tail means salting the contribution
     groupby)."""
-    import ray.data as rd
     from zhtml_ray.functions.graph import degree_histogram, link_edges
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
     return degree_histogram(link_edges(links))
@@ -1269,18 +1252,16 @@ def q_anchor_terms(sf_dir: str, k: int = 3):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from zhtml_ray.functions.graph import resolve_dst
     from zhtml_ray.functions.textstats import PY_WS_RE2_IN
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
     from zhtml_ray.stages.sortagg import sorted_head_n_per_group
     from zhtml_ray.stages.util import compact_blocks
 
     ws_pat = "[" + PY_WS_RE2_IN + "]+"
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)  # the oracle reads the links golden
     links = ds.map_batches(LinksBatch(), batch_format="pyarrow")
 
@@ -1345,11 +1326,9 @@ def q_node_table(sf_dir: str):
     """Flattened DOM node table per document (SURVEY.md §1.3): the full
     columnar index-linked tree, JSON-projected for the gate and oracled
     against the serial pinned run."""
-    import ray.data as rd
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden, node_table_project
     from zhtml_ray.stages.node_table import NodeTableBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("node_table", sf_dir)
     out = ds.map_batches(NodeTableBatch(), batch_format="pyarrow")
     return out.map_batches(node_table_project, batch_format="pyarrow")
@@ -1365,9 +1344,7 @@ def q_link_spam_signals(sf_dir: str):
     links golden."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import LinksBatch
 
@@ -1389,7 +1366,7 @@ def q_link_spam_signals(sf_dir: str):
                                  "n_nofollow", "anchor_chars",
                                  "n_empty_anchor"])
 
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("links", sf_dir)
     return ds.map_batches(signals, batch_format="pyarrow")
 
@@ -1419,10 +1396,8 @@ def q_page_structure(sf_dir: str):
     themselves are cross-engine-checked, not pinned."""
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
 
     from zhtml_ray.html.dom import ELEMENT, TEXT
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import parse_flat
 
@@ -1458,7 +1433,7 @@ def q_page_structure(sf_dir: str):
         return pa.table({"url": batch["url"],
                          **{k: pa.array(v) for k, v in out.items()}})
 
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("node_table", sf_dir)
     return ds.map_batches(stats, batch_format="pyarrow")
 
@@ -1508,11 +1483,9 @@ LEFT JOIN s USING (url)
 def q_token_stats(sf_dir: str):
     """Per-document tokenizer statistics (token counts by kind, error
     count) — the tokenizer-level debug output of SURVEY.md §1.3."""
-    import ray.data as rd
-    from zhtml_ray.pipelines.extract import pages_dir_for
     from zhtml_ray.pipelines.golden import ensure_golden
     from zhtml_ray.stages.node_table import TokenStatsBatch
-    ds = rd.read_parquet(pages_dir_for(sf_dir), columns=["url", "html"])
+    ds = _pages(sf_dir)
     ensure_golden("token_stats", sf_dir)
     return ds.map_batches(TokenStatsBatch(), batch_format="pyarrow")
 

@@ -1,3 +1,3 @@
-from zhtml_ray.sources.pages import gen_pages_table, write_pages_dataset, read_pages
+from zhtml_ray.sources.pages import gen_pages_table, write_pages_dataset, plan_pages, read_pages
 
-__all__ = ["gen_pages_table", "write_pages_dataset", "read_pages"]
+__all__ = ["gen_pages_table", "write_pages_dataset", "plan_pages", "read_pages"]

@@ -219,10 +219,29 @@ def write_pages_dataset(out_dir: str, n_rows: int, seed: int = 42,
     return paths
 
 
-def read_pages(paths_or_dir, columns: list[str] | None = None):
-    """``ray.data.read_parquet`` over pages shards with column pruning."""
+def plan_pages(paths_or_dir) -> dict:
+    """The ``.parquet`` files of ``paths_or_dir`` → their read plan
+    (``stages/skew.read_plan``), from footers read on the driver. Takes
+    local files only: a directory of flat ``.parquet`` shards, a path
+    or a list of paths (``files.expand``); no URIs, globs or nested
+    partition dirs."""
+    import pyarrow.parquet as pq
+
+    from zhtml_ray.sources.files import expand
+    from zhtml_ray.stages.skew import read_plan
+    return read_plan([(f, pq.read_metadata(f))
+                      for f in expand(paths_or_dir, (".parquet",))])
+
+
+def read_pages(plan: dict, columns: list[str] | None = None):
+    """Pages shards → Dataset through ONE footer-planned read: the
+    ``plan`` (``plan_pages``, or ``stages/skew.read_plan`` over footers
+    the caller already holds) fixes the file order and block count, so
+    a small shard is one unsplit block and Ray fuses the read with the
+    maps after it into one task per file."""
     import ray.data as rd
-    return rd.read_parquet(paths_or_dir, columns=columns)
+    return rd.read_parquet(plan["files"], columns=columns,
+                           override_num_blocks=plan["read_blocks"])
 
 
 def read_html_files(paths_or_dir):

@@ -76,9 +76,8 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
     read from the blocks (``dedup.band_rows_from_blocks``; ``hash_s``
     times that read), ready for the epoch's resolve
     (stages/neardup.py:resolve_epoch)."""
-    import ray.data as rd
-
     from zhtml_ray.pipelines.extract import extract_pages
+    from zhtml_ray.sources.pages import read_pages
     from zhtml_ray.stages.skew import read_plan
 
     pid = part["partition_id"]
@@ -120,18 +119,17 @@ def _prepare_partition(part: dict, out_dir: str, extract_kwargs: dict,
     want = tuple(dict.fromkeys(
         c for sh in list(by_shape) + ([("url", "html")] if warc_files else [])
         for c in sh))
-    # the same footers plan each shape's read (stages/skew.read_plan):
-    # one unsplit block per small shard, so read → extract → [clean] →
-    # [band buckets] → write fuse into one task per file, and the file
-    # with the most html starts first
+    # the same footers plan each shape's read (stages/skew.read_plan,
+    # read by sources/pages.read_pages): one unsplit block per small
+    # shard, so read → extract → [clean] → [band buckets] → write fuse
+    # into one task per file, and the file with the most html starts
+    # first
     shaped = []
     read = {"read_blocks": 0, "footer_html_bytes": 0}
     for shape, fm in sorted(by_shape.items()):
         plan = read_plan(fm)
         read = {k: read[k] + plan[k] for k in read}
-        shaped.append((shape, rd.read_parquet(
-            plan["files"], columns=list(shape),
-            override_num_blocks=plan["read_blocks"])))
+        shaped.append((shape, read_pages(plan, list(shape))))
     if warc_files:
         from zhtml_ray.sources.warc import read_warc
         shaped.append((("url", "html"), read_warc(warc_files).map_batches(

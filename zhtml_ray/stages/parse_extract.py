@@ -33,7 +33,8 @@ ERROR_TYPE = pa.list_(pa.struct([
 # The stage's emitted column order EXACTLY (r3 review: the previous
 # constant had row_crc ninth where the stage emits it second, breaking
 # positional consumers). When ``include_spans=False`` the spans field
-# is absent; ``passthrough`` columns (e.g. lang) append AFTER these.
+# is absent; the ``PASSTHROUGH`` columns present in the input append
+# AFTER these.
 OUT_SCHEMA = pa.schema([
     ("url", pa.string()),
     ("row_crc", pa.int64()),
@@ -48,6 +49,9 @@ OUT_SCHEMA = pa.schema([
     ("fail_reason", pa.string()),
 ])
 
+# input columns copied through to the output when present
+PASSTHROUGH = ("lang",)
+
 
 class ParseExtractBatch:
     """Callable instance → stateless Ray task-pool map via
@@ -55,17 +59,14 @@ class ParseExtractBatch:
     batch_size=B)`` (pipelines/extract.py:extract_pages).
 
     ``include_spans=False`` drops the spans column (cheaper output when a
-    downstream stage only needs text). ``passthrough`` lists input columns
-    copied to the output (url is always kept)."""
+    downstream stage only needs text). The ``PASSTHROUGH`` input columns
+    are copied to the output (url is always kept)."""
 
-    def __init__(self, include_spans: bool = True,
-                 passthrough: tuple[str, ...] = ("lang",),
-                 thresholds=None):
+    def __init__(self, include_spans: bool = True, thresholds=None):
         """``thresholds``: optional `html.extract.ExtractThresholds` —
         extraction config shipped to the tasks with the instance
         (SURVEY.md §2.3 ST6). None = the pinned oracle defaults."""
         self.include_spans = include_spans
-        self.passthrough = passthrough
         self.thresholds = thresholds
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -123,7 +124,7 @@ class ParseExtractBatch:
             "ok": pa.array(ok, pa.bool_()),
             "fail_reason": pa.array(fail, pa.string()),
         })
-        for name in self.passthrough:
+        for name in PASSTHROUGH:
             if name in batch.column_names:
                 cols[name] = batch.column(name)
         return pa.table(cols)

@@ -25,19 +25,28 @@ relies on Ray Data's own block layout:
   * layout guidance: write giant docs into dedicated shards at ingest
     (our fixture does: pages-mega.parquet) so giant blocks are pure.
 
-Job partitions (``stages/manifest``) take their read's block count
-from ``read_plan``: one unsplit block per shard file, more only when
-fewer files than cpus hold several MB of html. Ray 2.49 fuses an
-unsplit read with the maps after it, so read → parse → [clean] →
-[band buckets] → write run as one task per file; its default (≥ 2×cpus
-blocks) splits small shards and pays a read task and an object-store
-hop per block (crawl_mix on 4 cpus: 16 parse tasks at 54–60% core
-use). The price is the isolation above: a job partition's shard of
-giants under 32 MiB is one task that parses them one after another.
+Every unsplit pages read is planned by ``read_plan`` and read by
+``sources/pages.read_pages``: job partitions (``stages/manifest``,
+from the footers they already hold), ``run_extract`` and the
+registry's pages entries (``sources/pages.plan_pages``). The plan is one unsplit
+block per shard file, more only when fewer files than cpus hold
+several MB of html. Ray 2.49 fuses an unsplit read with the maps after
+it, so read → parse → [clean] → [band buckets] → write run as one
+task per file; its default (≥ 2×cpus blocks) splits small shards and
+pays a read task and an object-store hop per block (crawl_mix on 4
+cpus: 16 parse tasks at 54–60% core use). The price is the isolation
+above: a shard of giants under 32 MiB is one task that parses them one
+after another.
+
 ``extract_with_skew_routing`` keeps its split read (≥ 2 blocks per
-cpu), where a giant's block is its own task; moving it onto
-``read_plan`` has not been measured on the layouts where the two
-plans differ (mega-doc shards, fewer files than 2×cpus).
+cpu), where a giant's block is its own task. The two plans lay giants
+out differently: on ``pages_dir_for(sf0.01, mega_docs=4)`` with 4 cpus
+the split read gives 12 blocks and cuts the mega shard into 2 + 2 docs
+of 7.2 MB each, while ``read_plan`` gives 6 blocks with the mega shard
+whole at 14.4 MB, one task. Whether a giant needs its own task is an
+A/B that needs several free cores (ROADMAP item 4); until it is run,
+skew routing, and bench.py's extract and error histogram through it,
+keep its own read.
 """
 
 from __future__ import annotations
@@ -106,39 +115,31 @@ def read_plan(shards: list) -> dict:
             "footer_html_bytes": html_bytes}
 
 
-def extract_with_skew_routing(paths, columns=("url", "html", "lang"),
-                              include_spans: bool = True,
-                              override_num_blocks: int | None = None):
+def extract_with_skew_routing(paths, include_spans: bool = True):
     """pages shards → extraction Dataset with giant-doc skew defused by
     block layout (see module docstring). Single read, no shuffle, no
     barrier, no global-context mutation (session owners call
     ``cap_block_size`` for the belt-and-braces byte cap; the read's own
-    per-file splitting already lands fixture giants 1-per-block).
-    ``override_num_blocks``: pin the read block count. When omitted
-    (r4), it defaults to bench.py's measured sweet spot — ~1000 rows
-    per task with a floor of 2 waves per core: fewer tasks = less
-    driver-side per-task overhead, still ≥2 waves for balancing
-    (default-vs-64-block sweep at sf0.1: 2.7 s → 2.4 s). Giant-doc
-    isolation does NOT depend on the block count: the session's
-    ``cap_block_size`` byte cap makes the reader's dynamic splitter
-    put oversized rows in their own blocks regardless."""
+    per-file splitting already lands fixture giants 1-per-block). The
+    read asks ~1000 rows per task with a floor of 2 waves per core:
+    fewer tasks = less driver-side per-task overhead, still ≥2 waves
+    for balancing (default-vs-64-block sweep at sf0.1: 2.7 s → 2.4 s).
+    Giant-doc isolation does NOT depend on the block count: the
+    session's ``cap_block_size`` byte cap makes the reader's dynamic
+    splitter put oversized rows in their own blocks regardless."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
     import ray.data as rd
+
     from zhtml_ray.pipelines.extract import extract_pages
+    from zhtml_ray.stages.util import cluster_cpus
 
-    kw = {"columns": list(columns)}
-    if override_num_blocks is None:
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-
-        from zhtml_ray.stages.util import cluster_cpus
-        try:  # metadata-only row count (no data read)
-            n_rows = pads.dataset(paths).count_rows()
-            override_num_blocks = max(
-                1, min(n_rows, max(2 * cluster_cpus(), n_rows // 1000)))
-        except (OSError, pa.ArrowInvalid):  # non-path inputs: reader default
-            override_num_blocks = None
-    if override_num_blocks is not None:
-        kw["override_num_blocks"] = override_num_blocks
-    ds = rd.read_parquet(paths, **kw)
+    kw = {}
+    try:  # metadata-only row count (no data read)
+        n_rows = pads.dataset(paths).count_rows()
+        kw["override_num_blocks"] = max(
+            1, min(n_rows, max(2 * cluster_cpus(), n_rows // 1000)))
+    except (OSError, pa.ArrowInvalid):  # non-path inputs: reader default
+        pass
+    ds = rd.read_parquet(paths, columns=["url", "html", "lang"], **kw)
     return extract_pages(ds, batch_size=None, include_spans=include_spans)
-
